@@ -6,8 +6,7 @@
  * call), the serial flat CSR engine (pc::CircuitEvaluator,
  * allocation-free batched), and the thread-parallel wavefront engine
  * (same evaluator over a multi-worker pool, bit-identical results),
- * plus the linear-domain Dag-vs-core::Evaluator pair, the async
- * batch-serving engine (sys::ReasonEngine: cross-request coalescing
+ * plus the async batch-serving engine (sys::ReasonEngine: cross-request coalescing
  * vs sequential single-request submission), and the SIMD kernel
  * micro-benches (kernel_logsumexp, hmm_leaf_batch: the util/simd.h
  * pack kernels vs their bit-exact forced-scalar references, with a
@@ -45,8 +44,6 @@
 
 #include "../tests/random_circuit.h"
 #include "arch/dram.h"
-#include "core/builders.h"
-#include "core/flat.h"
 #include "hmm/hmm.h"
 #include "logic/cnf.h"
 #include "logic/knowledge.h"
@@ -504,7 +501,6 @@ main(int argc, char **argv)
         em_opts.maxIterations = 4;
         em_opts.tolerance = 0.0; // run every iteration
         em_opts.shards = 0;
-        em_opts.deterministic = true;
 
         // emTrain reaches the pool through the global knob.
         util::setGlobalThreads(1);
@@ -526,8 +522,8 @@ main(int argc, char **argv)
         if (bitHash(serial_trace.logLikelihood) !=
             bitHash(mt_trace.logLikelihood))
             ++mismatches;
-        const unsigned em_shards = util::resolveShardCount(
-            em_opts.shards, em_opts.deterministic, em_samples, threads);
+        const unsigned em_shards =
+            util::resolveShardCount(em_opts.shards, em_samples);
         double em_speedup = em_serial_ms / em_mt_ms;
         std::printf("BENCH_JSON {\"bench\":\"bench_eval\",\"engine\":"
                     "\"em_fit\",\"nodes\":%zu,\"edges\":%zu,"
@@ -1626,45 +1622,6 @@ main(int argc, char **argv)
             fault_ok && faulted.wrong == 0 ? "PASS" : "FAIL");
     }
 #endif // REASON_HAS_SOCKETS
-
-    // --- linear domain: Dag::evaluate vs core::Evaluator ---------------
-    core::Dag dag = core::buildFromCircuit(circuit);
-    const size_t dag_reps = reps / 4 ? reps / 4 : 1;
-    std::vector<double> inputs(dag.numInputs(), 1.0);
-
-    sink += dag.evaluateRoot(inputs);
-    t0 = Clock::now();
-    double dag_acc = 0.0;
-    for (size_t i = 0; i < dag_reps; ++i) {
-        inputs[i % inputs.size()] = 0.5 + double(i % 3) * 0.25;
-        dag_acc += dag.evaluateRoot(inputs);
-    }
-    double dag_seed_ms = msSince(t0);
-
-    t0 = Clock::now();
-    core::FlatGraph fg = core::lowerDag(dag);
-    core::Evaluator fev(fg, &serial_pool);
-    double dag_lower_ms = msSince(t0);
-    sink += fev.evaluateRoot(inputs);
-
-    std::fill(inputs.begin(), inputs.end(), 1.0);
-    t0 = Clock::now();
-    double dag_flat_acc = 0.0;
-    for (size_t i = 0; i < dag_reps; ++i) {
-        inputs[i % inputs.size()] = 0.5 + double(i % 3) * 0.25;
-        dag_flat_acc += fev.evaluateRoot(inputs);
-    }
-    double dag_flat_ms = msSince(t0);
-    double dag_speedup = dag_seed_ms / (dag_flat_ms + dag_lower_ms);
-    std::printf("BENCH_JSON {\"bench\":\"bench_eval\",\"engine\":"
-                "\"dag_eval\",\"nodes\":%zu,\"edges\":%zu,\"reps\":%zu,"
-                "\"seed_ms\":%.3f,\"flat_ms\":%.3f,\"lower_ms\":%.3f,"
-                "\"speedup\":%.2f,\"max_abs_diff\":%.3e%s}\n",
-                dag.numNodes(), dag.numEdges(), dag_reps, dag_seed_ms,
-                dag_flat_ms, dag_lower_ms, dag_speedup,
-                std::fabs(dag_acc - dag_flat_acc), provenance);
-    std::printf("dag: seed %.3f ms, flat %.3f ms: %.2fx\n", dag_seed_ms,
-                dag_flat_ms, dag_speedup);
 
     (void)sink;
     (void)seed_acc;

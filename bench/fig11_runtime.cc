@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "core/builders.h"
-#include "core/flat.h"
 #include "sys/system.h"
 #include "util/table.h"
 #include "workloads/timing.h"
@@ -60,21 +59,6 @@ BM_DagEvalSeedWalker(benchmark::State &state)
         benchmark::DoNotOptimize(dag.evaluateRoot(inputs));
 }
 BENCHMARK(BM_DagEvalSeedWalker);
-
-/** Flat path: CSR lowering + allocation-free core::Evaluator. */
-void
-BM_DagEvalFlatCsr(benchmark::State &state)
-{
-    workloads::TaskBundle b = workloads::generate(
-        workloads::DatasetId::TwinSafety, workloads::TaskScale::Small, 7);
-    core::Dag dag = core::buildFromCircuit(b.pcs.classCircuits.front());
-    core::FlatGraph flat = core::lowerDag(dag);
-    core::Evaluator eval(flat);
-    std::vector<double> inputs(dag.numInputs(), 0.5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(eval.evaluateRoot(inputs));
-}
-BENCHMARK(BM_DagEvalFlatCsr);
 
 void
 printFig11()

@@ -2,12 +2,10 @@
  * @file
  * The four-step flat-graph-to-hardware compiler (REASON Sec. V-C).
  *
- * The compiler consumes the flat CSR substrate directly
- * (core::FlatGraph — the same lowering the CPU engine executes), so
- * program generation shares one representation with evaluation instead
- * of round-tripping through the heap `Dag`; the `Dag` overload is a
- * thin regularize-and-lower shim kept for callers that still build
- * pointer graphs.  The steps:
+ * The compiler consumes the flat CSR lowering of the unified DAG
+ * (core::FlatGraph) directly instead of walking the heap `Dag`; the
+ * `Dag` overload is a thin regularize-and-lower shim kept for callers
+ * that still build pointer graphs.  The steps:
  *
  *   Step 1  Block decomposition — greedy extraction of depth-bounded
  *           subtrees ("blocks") that issue as single tree instructions.
@@ -51,7 +49,8 @@ struct TargetConfig
  * Compile a flat graph to a REASON program.  The graph must be in
  * two-input form (every fan-in <= 2 — regularize the source before
  * lowering); the emitted program's simulated execution yields exactly
- * the flat Evaluator's root value for any input vector.
+ * the source Dag's root value (Dag::evaluateRoot) for any input
+ * vector.
  */
 Program compile(const core::FlatGraph &graph,
                 const TargetConfig &target = {});

@@ -653,9 +653,8 @@ baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
 
     if (pool == nullptr)
         pool = &util::globalThreadPool();
-    const unsigned shards = util::resolveShardCount(
-        options.shards, options.deterministic, data.size(),
-        pool->numThreads());
+    const unsigned shards =
+        util::resolveShardCount(options.shards, data.size());
 
     // Per-sequence likelihoods run thread-parallel; the reduction over
     // the materialized vector stays serial in dataset order, so the
@@ -756,17 +755,6 @@ baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
             break;
     }
     return trace;
-}
-
-BaumWelchTrace
-baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
-          uint32_t max_iterations, double tolerance, double smoothing)
-{
-    BaumWelchOptions options;
-    options.maxIterations = max_iterations;
-    options.tolerance = tolerance;
-    options.smoothing = smoothing;
-    return baumWelch(hmm, data, options);
 }
 
 HmmPruneResult

@@ -202,9 +202,9 @@ struct BaumWelchTrace
 };
 
 /**
- * Baum-Welch options.  The sharding fields default to the process-wide
- * util::ReductionPolicy (the --shards / --fast-reductions knob);
- * explicit assignment overrides it.
+ * Baum-Welch options.  The shard count defaults to the process-wide
+ * util::ReductionPolicy (the --shards knob); explicit assignment
+ * overrides it.
  */
 struct BaumWelchOptions
 {
@@ -215,17 +215,12 @@ struct BaumWelchOptions
     double smoothing = 1e-3;
     /**
      * Sequence shards of the E-step statistic accumulation; 0 = auto
-     * (a fixed count when deterministic, one per pool worker
-     * otherwise) and 1 = the legacy serial left fold.
+     * (a fixed count) and 1 = the legacy serial left fold.  The shard
+     * count and fixed-shape tree reduction never depend on the worker
+     * count, so the trained model and trace are bit-identical for any
+     * thread count.
      */
     unsigned shards = util::reductionPolicy().shards;
-    /**
-     * Deterministic (default): shard count and fixed-shape tree
-     * reduction never depend on the worker count, so the trained model
-     * and trace are bit-identical for any thread count.  Fast mode
-     * (false) shards per worker, relaxing only the reduction shape.
-     */
-    bool deterministic = util::reductionPolicy().deterministic;
 };
 
 /**
@@ -238,12 +233,6 @@ struct BaumWelchOptions
 BaumWelchTrace baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
                          const BaumWelchOptions &options,
                          util::ThreadPool *pool = nullptr);
-
-/** Positional-argument convenience overload (legacy signature). */
-BaumWelchTrace baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
-                         uint32_t max_iterations = 20,
-                         double tolerance = 1e-6,
-                         double smoothing = 1e-3);
 
 /** Result of posterior-usage-based pruning. */
 struct HmmPruneResult

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace reason {
 namespace logic {
 
@@ -432,17 +430,6 @@ parseC2dFormat(const std::string &text, NnfError *err)
     NnfId root = NnfId(nodes.size() - 1); // c2d: the last node is the root
     return DnnfGraph::fromNodes(std::move(nodes), root,
                                 parser.header().numVars);
-}
-
-DnnfGraph
-parseC2dFormat(const std::string &text)
-{
-    NnfError err;
-    DnnfGraph g = parseC2dFormat(text, &err);
-    if (!err.ok())
-        fatal("parseC2dFormat: %s (line %zu)", err.message.c_str(),
-              err.line);
-    return g;
 }
 
 } // namespace logic

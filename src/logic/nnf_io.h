@@ -24,9 +24,8 @@
  * never a crash, and the parser never trusts a declared count for an
  * allocation before seeing the bytes that back it.
  *
- * parseC2dFormat() wraps the same parser into whole-graph loads: the
- * two-argument form reports errors through NnfError, the legacy
- * single-argument form fatal()s with the same message (CLI paths).
+ * parseC2dFormat() wraps the same parser into whole-graph loads and
+ * reports errors through NnfError.
  */
 
 #ifndef REASON_LOGIC_NNF_IO_H
@@ -141,16 +140,10 @@ class NnfStreamParser
  * Tolerant whole-text parse: on success returns the graph (validated,
  * including decomposability of And nodes) and leaves *err ok; on any
  * violation returns an empty graph and fills *err with the message
- * and line.  Never crashes, whatever the input.
+ * and line.  Never crashes, whatever the input.  `num_vars` of the
+ * resulting graph is taken from the header.
  */
 DnnfGraph parseC2dFormat(const std::string &text, NnfError *err);
-
-/**
- * Legacy strict parse: fatal()s on malformed input with the NnfError
- * message and line.  `num_vars` of the resulting graph is taken from
- * the header.
- */
-DnnfGraph parseC2dFormat(const std::string &text);
 
 } // namespace logic
 } // namespace reason

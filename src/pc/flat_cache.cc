@@ -4,8 +4,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "core/dag.h"
-
 namespace reason {
 namespace pc {
 
@@ -33,7 +31,7 @@ struct Identity
 {
     uint64_t nodes = 0;
     uint64_t edges = 0;
-    uint64_t meta = 0; // vars/arity (circuit) or inputs/root (dag)
+    uint64_t meta = 0; // vars/arity
     uint64_t hash = 0;
 
     bool
@@ -78,35 +76,12 @@ fingerprint(const Circuit &c)
     return id;
 }
 
-Identity
-fingerprint(const core::Dag &dag)
-{
-    Identity id;
-    id.nodes = dag.numNodes();
-    id.edges = dag.numEdges();
-    id.meta = (uint64_t(dag.numInputs()) << 32) | dag.root();
-    Fnv f;
-    for (size_t i = 0; i < dag.numNodes(); ++i) {
-        const core::DagNode &n = dag.node(core::NodeId(i));
-        f.mix(uint64_t(n.op));
-        f.mix(n.tag);
-        f.mix(n.value);
-        for (core::NodeId in : n.inputs)
-            f.mix(in);
-        for (double w : n.weights)
-            f.mix(w);
-    }
-    id.hash = f.h;
-    return id;
-}
-
 /**
- * One pointer-bucketed LRU cache.  The pointer is only a bucket key —
+ * Pointer-bucketed LRU cache.  The pointer is only a bucket key —
  * correctness rests on the Identity comparison, so address reuse after
  * an object dies simply misses (different fingerprint) or legitimately
  * shares (byte-equal structure lowers to the same flat form).
  */
-template <typename Flat>
 class LoweringCache
 {
   public:
@@ -119,9 +94,8 @@ class LoweringCache
      * racing to lower the same structure both lower, and the later
      * insert wins (both results are equivalent by construction).
      */
-    template <typename Source, typename Lower>
-    std::shared_ptr<const Flat>
-    get(const Source &src, Lower lower)
+    std::shared_ptr<const FlatCircuit>
+    get(const Circuit &src)
     {
         const Identity id = fingerprint(src);
         const uintptr_t key = reinterpret_cast<uintptr_t>(&src);
@@ -134,7 +108,7 @@ class LoweringCache
                 return it->second.flat;
             }
         }
-        auto flat = std::make_shared<const Flat>(lower(src));
+        auto flat = std::make_shared<const FlatCircuit>(src);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         auto it = entries_.find(key);
@@ -154,13 +128,11 @@ class LoweringCache
         return flat;
     }
 
-    void
-    mergeStats(FlatCacheStats *out)
+    FlatCacheStats
+    stats()
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        out->hits += stats_.hits;
-        out->misses += stats_.misses;
-        out->evictions += stats_.evictions;
+        return stats_;
     }
 
     void
@@ -176,7 +148,7 @@ class LoweringCache
     struct Entry
     {
         Identity id;
-        std::shared_ptr<const Flat> flat;
+        std::shared_ptr<const FlatCircuit> flat;
         uint64_t tick = 0;
     };
     std::mutex mutex_;
@@ -185,23 +157,14 @@ class LoweringCache
     uint64_t clock_ = 0;
 };
 
-LoweringCache<FlatCircuit> g_circuits;
-LoweringCache<core::FlatGraph> g_dags;
+LoweringCache g_circuits;
 
 } // namespace
 
 std::shared_ptr<const FlatCircuit>
 cachedLowering(const Circuit &circuit)
 {
-    return g_circuits.get(circuit,
-                          [](const Circuit &c) { return FlatCircuit(c); });
-}
-
-std::shared_ptr<const core::FlatGraph>
-cachedLowering(const core::Dag &dag)
-{
-    return g_dags.get(dag,
-                      [](const core::Dag &d) { return core::lowerDag(d); });
+    return g_circuits.get(circuit);
 }
 
 uint64_t
@@ -234,17 +197,13 @@ structuralFingerprint(const FlatCircuit &flat)
 FlatCacheStats
 flatCacheStats()
 {
-    FlatCacheStats stats;
-    g_circuits.mergeStats(&stats);
-    g_dags.mergeStats(&stats);
-    return stats;
+    return g_circuits.stats();
 }
 
 void
 clearFlatCache()
 {
     g_circuits.clear();
-    g_dags.clear();
 }
 
 } // namespace pc

@@ -2,7 +2,7 @@
  * @file
  * Lowering cache for the flat kernel engines.
  *
- * Every repeated-pass query lowers its Circuit (or Dag) into the flat
+ * Every repeated-pass query lowers its Circuit into the flat
  * CSR form before evaluating; callers that issue many queries against
  * the same structure — posteriorMarginals per evidence set, EM's
  * meanLogLikelihood after each M-step, entropy sweeps, the CLI — used
@@ -26,13 +26,12 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/flat.h"
 #include "pc/flat_pc.h"
 
 namespace reason {
 namespace pc {
 
-/** Entry capacity of each LRU lowering cache (circuits and dags). */
+/** Entry capacity of the LRU lowering cache. */
 inline constexpr size_t kFlatCacheCapacity = 16;
 
 /**
@@ -41,10 +40,6 @@ inline constexpr size_t kFlatCacheCapacity = 16;
  * cached) otherwise.
  */
 std::shared_ptr<const FlatCircuit> cachedLowering(const Circuit &circuit);
-
-/** Dag counterpart: cached core::lowerDag. */
-std::shared_ptr<const core::FlatGraph>
-cachedLowering(const core::Dag &dag);
 
 /**
  * 64-bit FNV-1a content fingerprint of an already-flat circuit:

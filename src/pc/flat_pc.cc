@@ -657,9 +657,7 @@ accumulateDatasetFlows(const FlatCircuit &flat,
 {
     util::ThreadPool &active =
         pool ? *pool : util::globalThreadPool();
-    const unsigned shards = util::resolveShardCount(
-        opts.shards, opts.deterministic, data.size(),
-        active.numThreads());
+    const unsigned shards = util::resolveShardCount(opts.shards, data.size());
     DatasetFlows out;
     out.shards = shards;
     if (shards <= 1) {

@@ -336,17 +336,15 @@ class FlowAccumulator
 };
 
 /**
- * Sample-level sharding options for accumulateDatasetFlows.  Defaults
- * inherit the process-wide util::ReductionPolicy (the
- * --shards/--fast-reductions knob); explicit assignment overrides it.
- * See ReductionPolicy for the shard-resolution and determinism rules.
+ * Sample-level sharding options for accumulateDatasetFlows.  The
+ * default inherits the process-wide util::ReductionPolicy (the --shards
+ * knob); explicit assignment overrides it.  See ReductionPolicy for the
+ * shard-resolution rules.
  */
 struct FlowShardOptions
 {
-    /** 0 = auto (fixed count when deterministic, else pool workers). */
+    /** 0 = auto (a fixed count, independent of the pool size). */
     unsigned shards = util::reductionPolicy().shards;
-    /** Fixed reduction shape, bit-identical across thread counts. */
-    bool deterministic = util::reductionPolicy().deterministic;
 };
 
 /** Dataset-level flow totals, same layouts as FlowAccumulator. */
@@ -372,11 +370,9 @@ struct DatasetFlows
  * fixed-shape pairwise tree reduction (util::treeReduce) whose shape
  * depends only on the shard count.
  *
- * Determinism: with opts.deterministic (default) the shard count never
- * depends on the worker count, so totals are bit-identical for any
- * thread count; shards == 1 reproduces the legacy serial left fold
- * exactly.  Fast mode (deterministic = false) shards per worker,
- * changing only the reduction shape.
+ * Determinism: the shard count never depends on the worker count, so
+ * totals are bit-identical for any thread count; shards == 1 reproduces
+ * the legacy serial left fold exactly.
  */
 DatasetFlows accumulateDatasetFlows(const FlatCircuit &flat,
                                     const std::vector<Assignment> &data,

@@ -41,8 +41,8 @@ emTrain(Circuit &circuit, const std::vector<Assignment> &data,
         // samples) — but the lowering is then *hit* by the
         // meanLogLikelihood call below, which sees unchanged parameters.
         std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
-        DatasetFlows acc = accumulateDatasetFlows(
-            *flat, data, {config.shards, config.deterministic});
+        DatasetFlows acc =
+            accumulateDatasetFlows(*flat, data, {config.shards});
 
         // M-step: re-normalize sum weights and leaf distributions.
         const std::vector<double> &edge_flow = acc.edgeFlow;

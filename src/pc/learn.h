@@ -30,9 +30,9 @@ struct EmTrace
 };
 
 /**
- * EM options.  The sharding fields default to the process-wide
- * util::ReductionPolicy (the --shards / --fast-reductions knob);
- * explicit assignment overrides it.
+ * EM options.  The shard count defaults to the process-wide
+ * util::ReductionPolicy (the --shards knob); explicit assignment
+ * overrides it.
  */
 struct EmOptions
 {
@@ -43,18 +43,12 @@ struct EmOptions
     double smoothing = 0.1;
     /**
      * Sample shards of the E-step flow accumulation; 0 = auto (a fixed
-     * count when deterministic, one per pool worker otherwise) and 1 =
-     * the legacy serial left fold.  See util::ReductionPolicy.
+     * count) and 1 = the legacy serial left fold.  The shard count and
+     * fixed-shape tree reduction never depend on the worker count, so
+     * trained parameters and the trace are bit-identical for any thread
+     * count.  See util::ReductionPolicy.
      */
     unsigned shards = util::reductionPolicy().shards;
-    /**
-     * Deterministic (default): the shard count and fixed-shape tree
-     * reduction never depend on the worker count, so trained parameters
-     * and the trace are bit-identical for any thread count.  The fast
-     * mode (false) shards per worker, relaxing only the reduction
-     * shape.
-     */
-    bool deterministic = util::reductionPolicy().deterministic;
 };
 
 /** Historical name of EmOptions. */

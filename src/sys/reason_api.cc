@@ -41,14 +41,9 @@ ReasonRuntime::ReasonRuntime(const arch::ArchConfig &config,
 {
     if (options.evalThreads > 0)
         util::setGlobalThreads(options.evalThreads);
-    if (options.learnShards != 0 ||
-        options.learnReduction != LearnReduction::Inherit) {
+    if (options.learnShards != 0) {
         util::ReductionPolicy policy = util::reductionPolicy();
-        if (options.learnShards != 0)
-            policy.shards = options.learnShards;
-        if (options.learnReduction != LearnReduction::Inherit)
-            policy.deterministic =
-                options.learnReduction == LearnReduction::Deterministic;
+        policy.shards = options.learnShards;
         util::setReductionPolicy(policy);
     }
 }

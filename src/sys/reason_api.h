@@ -44,17 +44,6 @@ struct SharedMemory
     bool symbolicReady = false;
 };
 
-/** Learning-reduction determinism selector for RuntimeOptions. */
-enum class LearnReduction : uint8_t
-{
-    /** Keep the current process-wide util::ReductionPolicy mode. */
-    Inherit = 0,
-    /** Fixed-shape reductions, bit-identical for any thread count. */
-    Deterministic,
-    /** Shard per worker; relaxes only the reduction shape. */
-    Fast
-};
-
 /**
  * Runtime-level execution options (Sec. VI-B extensions).
  */
@@ -80,14 +69,6 @@ struct RuntimeOptions
      * leaves the current policy untouched (its own 0 means auto).
      */
     unsigned learnShards = 0;
-
-    /**
-     * Determinism mode of those reductions; Inherit leaves the current
-     * policy untouched.  Deterministic reductions are bit-identical
-     * across thread counts; Fast shards per worker (see
-     * util::ReductionPolicy).
-     */
-    LearnReduction learnReduction = LearnReduction::Inherit;
 
     /**
      * Serving knobs forwarded to the embedded sys::ReasonEngine (see

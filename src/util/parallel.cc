@@ -188,18 +188,15 @@ setReductionPolicy(const ReductionPolicy &policy)
 }
 
 unsigned
-resolveShardCount(unsigned shards, bool deterministic, size_t samples,
-                  unsigned workers)
+resolveShardCount(unsigned shards, size_t samples)
 {
     if (shards == 0) {
         // Sharding *replaces* per-sample wavefront parallelism, so a
         // dataset smaller than the target shard count keeps one shard
         // (and the wavefront engine) instead of degenerating into a
-        // few serial-pool slices.  The deterministic target ignores
-        // `workers`, which keeps the result thread-count-invariant.
-        const unsigned target = deterministic ? kAutoReductionShards
-                                              : std::max(workers, 1u);
-        shards = samples >= target ? target : 1;
+        // few serial-pool slices.
+        shards = samples >= kAutoReductionShards ? kAutoReductionShards
+                                                 : 1;
     }
     if (samples < shards)
         shards = unsigned(samples);

@@ -163,43 +163,36 @@ bool pinCurrentThreadToCore(unsigned core);
  * this policy into their per-call options at construction, so it acts
  * as a default, not an override: explicitly set option fields win.
  *
- *  - `shards == 0` (auto): deterministic mode shards into a *fixed*
- *    count (kAutoReductionShards) that does not depend on the worker
- *    count, so results are bit-identical for any thread count; fast
- *    mode shards into one per pool worker.  Datasets smaller than the
- *    target resolve to a single shard, keeping per-sample wavefront
- *    parallelism instead of degenerate tiny shards.
+ *  - `shards == 0` (auto) shards into a *fixed* count
+ *    (kAutoReductionShards) that does not depend on the worker count,
+ *    so results are bit-identical for any thread count.  Datasets
+ *    smaller than the target resolve to a single shard, keeping
+ *    per-sample wavefront parallelism instead of degenerate tiny
+ *    shards.
  *  - `shards == 1` reproduces the legacy serial accumulation exactly
  *    (single left-fold over the dataset, no reduction tree).
- *  - `deterministic == false` (fast mode) relaxes *only* the reduction
- *    shape: shard contents and per-sample math are unchanged, but the
- *    shard count follows the pool size, so low-order bits of the merged
- *    totals may differ between thread counts.
  *
  * Like setGlobalThreads, configure at startup or between phases.
  */
 struct ReductionPolicy
 {
     unsigned shards = 0;
-    bool deterministic = true;
 };
 
 ReductionPolicy reductionPolicy();
 void setReductionPolicy(const ReductionPolicy &policy);
 
-/** Fixed shard count of deterministic auto-sharding. */
+/** Fixed shard count of auto-sharding. */
 inline constexpr unsigned kAutoReductionShards = 8;
 
 /**
- * Resolve an options-level (shards, deterministic) pair against a
- * dataset size and worker count: 0 = auto per ReductionPolicy rules
- * (one shard when the dataset is smaller than the target count), and
- * the result is clamped to [1, samples].  Deterministic resolution
- * ignores `workers` entirely, which is what makes the merged totals
+ * Resolve an options-level shard count against a dataset size: 0 = auto
+ * per ReductionPolicy rules (one shard when the dataset is smaller than
+ * the target count), and the result is clamped to [1, samples].  The
+ * worker count never enters, which is what makes the merged totals
  * independent of the thread count.
  */
-unsigned resolveShardCount(unsigned shards, bool deterministic,
-                           size_t samples, unsigned workers);
+unsigned resolveShardCount(unsigned shards, size_t samples);
 
 /**
  * Fixed-shape pairwise tree reduction over `shards` slots: merge(a, b)

@@ -451,7 +451,7 @@ TEST(BenchJsonSchema, EveryEmittedLineParsesAndMatchesSchema)
          {"circuit_loglik", "circuit_loglik_mt", "derivatives_mt",
           "em_fit", "kernel_logsumexp", "hmm_leaf_batch", "serving",
           "serving_mt", "approx_tier", "compile_flat", "dram_model",
-          "fault_recovery", "dag_eval"}) {
+          "fault_recovery"}) {
         EXPECT_EQ(engines[engine], 1)
             << "engine " << engine << " missing or duplicated";
     }
@@ -473,7 +473,6 @@ TEST(BenchJsonSchema, SingleThreadRunSkipsMtVariantsAndExitsZero)
         ++engines[engine->text];
     }
     EXPECT_EQ(engines["circuit_loglik"], 1);
-    EXPECT_EQ(engines["dag_eval"], 1);
     // The serving engine and the SIMD kernel micro-benches are
     // independent of the --threads knob; they run (and must hold
     // their bitwise contracts) even in the 1-thread configuration.

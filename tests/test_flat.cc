@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the flat CSR kernel engine (core/flat.h, pc/flat_pc.h):
- * flat and batched evaluation must match the reference walkers
- * (Dag::evaluate, Circuit::evaluate/logLikelihood, logDerivatives,
- * computeFlows) to <= 1e-12 across randomized DAGs covering every op,
- * weighted and unweighted sums, and zero-probability leaves.
+ * Tests for the flat CSR engines (core/flat.h, pc/flat_pc.h): Dag
+ * lowering must preserve structure, core::buildLevelSchedule must
+ * respect dependences, and flat circuit evaluation must match the
+ * reference walkers (Circuit::evaluate/logLikelihood, logDerivatives,
+ * computeFlows) to <= 1e-12 across randomized circuits, including
+ * zero-probability leaves.
  */
 
 #include <gtest/gtest.h>
@@ -74,13 +75,16 @@ randomDag(Rng &rng, uint32_t num_inputs, uint32_t num_consts,
     return dag;
 }
 
-std::vector<double>
-randomInputs(Rng &rng, uint32_t n)
+/** Operation-node mask of a lowering (the optional schedule filter). */
+std::vector<uint8_t>
+operationNodes(const core::FlatGraph &flat)
 {
-    std::vector<double> in(n);
-    for (auto &v : in)
-        v = rng.uniformReal(-1.0, 1.0);
-    return in;
+    std::vector<uint8_t> mask(flat.numNodes());
+    for (size_t i = 0; i < flat.numNodes(); ++i) {
+        const core::FlatOp op = core::FlatOp(flat.ops[i]);
+        mask[i] = op != core::FlatOp::Input && op != core::FlatOp::Const;
+    }
+    return mask;
 }
 
 } // namespace
@@ -95,7 +99,13 @@ TEST(FlatGraph, LoweringPreservesStructure)
     EXPECT_EQ(flat.numInputs, dag.numInputs());
     EXPECT_EQ(flat.root, dag.root());
     EXPECT_GT(flat.memoryBytes(), 0u);
-    EXPECT_EQ(flat.numLevels(), dag.stats().depth + 1);
+    // Filtering out leaves drops nodes, never levels.
+    const std::vector<uint8_t> ops_only = operationNodes(flat);
+    for (const auto &mask : {std::vector<uint8_t>{}, ops_only}) {
+        core::LevelSchedule sched = core::buildLevelSchedule(
+            flat.numNodes(), flat.edgeOffset, flat.edgeTarget, mask);
+        EXPECT_EQ(sched.offset.size() - 1, dag.stats().depth + 1);
+    }
 }
 
 TEST(FlatGraph, LevelScheduleRespectsDependences)
@@ -103,78 +113,38 @@ TEST(FlatGraph, LevelScheduleRespectsDependences)
     Rng rng(12);
     core::Dag dag = randomDag(rng, 4, 2, 80);
     core::FlatGraph flat = core::lowerDag(dag);
-    // A node scheduled in level L must have all operands in levels < L.
-    std::vector<uint32_t> level_of(flat.numNodes(), 0);
-    for (size_t l = 0; l < flat.numLevels(); ++l)
-        for (uint32_t k = flat.levelOffset[l]; k < flat.levelOffset[l + 1];
-             ++k)
-            level_of[flat.levelNodes[k]] = uint32_t(l);
-    for (size_t l = 0; l < flat.numLevels(); ++l) {
-        for (uint32_t k = flat.levelOffset[l]; k < flat.levelOffset[l + 1];
-             ++k) {
-            uint32_t node = flat.levelNodes[k];
-            for (uint32_t e = flat.edgeOffset[node];
-                 e < flat.edgeOffset[node + 1]; ++e)
-                EXPECT_LT(level_of[flat.edgeTarget[e]], l);
+    const std::vector<uint8_t> ops_only = operationNodes(flat);
+    for (const auto &mask : {std::vector<uint8_t>{}, ops_only}) {
+        core::LevelSchedule sched = core::buildLevelSchedule(
+            flat.numNodes(), flat.edgeOffset, flat.edgeTarget, mask);
+        // Every selected node is scheduled exactly once, ascending
+        // within its level, and a node scheduled in level L has all
+        // operands in levels < L (filtered-out leaves sit in level 0).
+        std::vector<uint32_t> level_of(flat.numNodes(), 0);
+        std::vector<int> seen(flat.numNodes(), 0);
+        for (size_t l = 0; l + 1 < sched.offset.size(); ++l)
+            for (uint32_t k = sched.offset[l]; k < sched.offset[l + 1];
+                 ++k) {
+                const uint32_t node = sched.nodes[k];
+                if (k > sched.offset[l]) {
+                    EXPECT_LT(sched.nodes[k - 1], node);
+                }
+                level_of[node] = uint32_t(l);
+                ++seen[node];
+            }
+        for (size_t i = 0; i < flat.numNodes(); ++i)
+            EXPECT_EQ(seen[i], mask.empty() || mask[i] ? 1 : 0)
+                << "node " << i;
+        for (size_t l = 0; l + 1 < sched.offset.size(); ++l) {
+            for (uint32_t k = sched.offset[l]; k < sched.offset[l + 1];
+                 ++k) {
+                const uint32_t node = sched.nodes[k];
+                for (uint32_t e = flat.edgeOffset[node];
+                     e < flat.edgeOffset[node + 1]; ++e)
+                    EXPECT_LT(level_of[flat.edgeTarget[e]], l);
+            }
         }
     }
-}
-
-TEST(FlatEvaluator, MatchesReferenceAcrossRandomDags)
-{
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-        Rng rng(seed);
-        core::Dag dag =
-            randomDag(rng, 3 + seed % 5, 2, 40 + uint32_t(seed) * 10);
-        core::FlatGraph flat = core::lowerDag(dag);
-        core::Evaluator eval(flat);
-        for (int trial = 0; trial < 10; ++trial) {
-            auto inputs = randomInputs(rng, dag.numInputs());
-            auto want = dag.evaluate(inputs);
-            auto got = eval.evaluate(inputs);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i)
-                EXPECT_NEAR(got[i], want[i], 1e-12) << "node " << i;
-            EXPECT_NEAR(eval.evaluateRoot(inputs),
-                        dag.evaluateRoot(inputs), 1e-12);
-        }
-    }
-}
-
-TEST(FlatEvaluator, BatchMatchesPerRowEvaluation)
-{
-    Rng rng(77);
-    core::Dag dag = randomDag(rng, 8, 2, 120);
-    core::FlatGraph flat = core::lowerDag(dag);
-    core::Evaluator eval(flat);
-
-    const size_t rows = 32;
-    std::vector<double> batch(rows * dag.numInputs());
-    for (auto &v : batch)
-        v = rng.uniformReal(-1.0, 1.0);
-    std::vector<double> roots(rows);
-    eval.evaluateBatch(batch, rows, roots);
-    for (size_t r = 0; r < rows; ++r) {
-        std::vector<double> row(
-            batch.begin() + r * dag.numInputs(),
-            batch.begin() + (r + 1) * dag.numInputs());
-        EXPECT_NEAR(roots[r], dag.evaluateRoot(row), 1e-12);
-    }
-}
-
-TEST(FlatEvaluator, ConstantsSurviveRepeatedCalls)
-{
-    core::Dag dag;
-    core::NodeId a = dag.addInput();
-    core::NodeId c = dag.addConst(0.75);
-    dag.markRoot(dag.addOp(core::DagOp::Sum, {a, c}));
-    core::FlatGraph flat = core::lowerDag(dag);
-    core::Evaluator eval(flat);
-    std::vector<double> in{1.0};
-    EXPECT_DOUBLE_EQ(eval.evaluateRoot(in), 1.75);
-    in[0] = -0.25;
-    EXPECT_DOUBLE_EQ(eval.evaluateRoot(in), 0.5);
-    EXPECT_DOUBLE_EQ(eval.evaluateRoot(in), 0.5);
 }
 
 TEST(FlatCircuit, LogLikelihoodMatchesReference)

@@ -153,9 +153,9 @@ TEST(FlatRandomDifferential, EmFlowsMatchSeedWalker)
         for (const auto &x : data)
             acc.add(x);
         // Sharded accumulation over the same data must agree too
-        // (deterministic fixed shard count).
+        // (fixed auto shard count).
         pc::DatasetFlows sharded =
-            pc::accumulateDatasetFlows(flat, data, {0, true}, &serial);
+            pc::accumulateDatasetFlows(flat, data, {0}, &serial);
         EXPECT_EQ(sharded.count, data.size());
 
         for (size_t i = 0; i < c.numNodes(); ++i) {

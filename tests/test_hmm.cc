@@ -175,7 +175,9 @@ TEST(BaumWelch, ImprovesLikelihood)
         data.push_back(std::move(s));
     }
     Hmm model = Hmm::random(rng, 3, 4);
-    BaumWelchTrace trace = baumWelch(model, data, 10);
+    BaumWelchOptions opts;
+    opts.maxIterations = 10;
+    BaumWelchTrace trace = baumWelch(model, data, opts);
     ASSERT_GE(trace.logLikelihood.size(), 2u);
     EXPECT_GT(trace.logLikelihood.back(), trace.logLikelihood.front());
 }

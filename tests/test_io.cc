@@ -31,7 +31,9 @@ TEST_P(NnfIoSweep, C2dRoundTripPreservesSemantics)
     DnnfGraph g = compileToDnnf(f);
 
     std::string text = toC2dFormat(g);
-    DnnfGraph h = parseC2dFormat(text);
+    NnfError err;
+    DnnfGraph h = parseC2dFormat(text, &err);
+    ASSERT_TRUE(err.ok()) << err.message;
     h.validate();
 
     // Export drops unreachable (hash-consed but unused) nodes.
@@ -56,13 +58,16 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NnfIoSweep,
 TEST(NnfIo, TrivialGraphs)
 {
     CnfFormula empty(3);
-    DnnfGraph g = parseC2dFormat(toC2dFormat(compileToDnnf(empty)));
+    NnfError err;
+    DnnfGraph g = parseC2dFormat(toC2dFormat(compileToDnnf(empty)), &err);
+    ASSERT_TRUE(err.ok()) << err.message;
     EXPECT_DOUBLE_EQ(g.modelCount(), 8.0);
 
     CnfFormula contra(2);
     contra.addClause({1});
     contra.addClause({-1});
-    DnnfGraph h = parseC2dFormat(toC2dFormat(compileToDnnf(contra)));
+    DnnfGraph h = parseC2dFormat(toC2dFormat(compileToDnnf(contra)), &err);
+    ASSERT_TRUE(err.ok()) << err.message;
     EXPECT_DOUBLE_EQ(h.modelCount(), 0.0);
 }
 
@@ -72,7 +77,9 @@ TEST(NnfIo, HeaderCountsMatchBody)
     f.addClause({1, 2});
     DnnfGraph g = compileToDnnf(f);
     std::string text = toC2dFormat(g);
-    DnnfGraph h = parseC2dFormat(text);
+    NnfError err;
+    DnnfGraph h = parseC2dFormat(text, &err);
+    ASSERT_TRUE(err.ok()) << err.message;
     std::string expected = "nnf " + std::to_string(h.numNodes()) + " " +
                            std::to_string(h.numEdges()) + " 2";
     EXPECT_EQ(text.substr(0, expected.size()), expected);
@@ -80,11 +87,24 @@ TEST(NnfIo, HeaderCountsMatchBody)
 
 TEST(NnfIo, RejectsMalformedInput)
 {
-    EXPECT_DEATH(parseC2dFormat("garbage"), "header");
-    EXPECT_DEATH(parseC2dFormat("nnf 1 0 2\nX 1"), "unknown node tag");
-    EXPECT_DEATH(parseC2dFormat("nnf 2 1 2\nL 1\nA 1 5"),
-                 "bad child reference");
-    EXPECT_DEATH(parseC2dFormat("nnf 3 0 2\nL 1"), "declared");
+    const struct
+    {
+        const char *text;
+        const char *message;
+    } cases[] = {
+        {"garbage", "header"},
+        {"nnf 1 0 2\nX 1", "unknown node tag"},
+        {"nnf 2 1 2\nL 1\nA 1 5", "bad child reference"},
+        {"nnf 3 0 2\nL 1", "declared"},
+    };
+    for (const auto &c : cases) {
+        NnfError err;
+        DnnfGraph g = parseC2dFormat(c.text, &err);
+        EXPECT_FALSE(err.ok()) << c.text;
+        EXPECT_NE(err.message.find(c.message), std::string::npos)
+            << c.text << ": " << err.message;
+        EXPECT_EQ(g.numNodes(), 0u) << c.text;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -202,7 +202,9 @@ TEST(NnfFuzz, StructuredGarbage)
         ParseOutcome out = parseBoth(text, 8);
         // Accidentally-valid graphs must agree between the two routes.
         if (out.textOk && out.streamOk) {
-            DnnfGraph g = parseC2dFormat(text);
+            NnfError text_err;
+            DnnfGraph g = parseC2dFormat(text, &text_err);
+            ASSERT_TRUE(text_err.ok()) << text_err.message;
             pc::FlatCircuit direct =
                 pc::flatFromDnnf(g, LitWeights::uniform(8));
             std::istringstream in(text);

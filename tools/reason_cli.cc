@@ -29,9 +29,9 @@
  *   fit <file.rpc> [--samples N] [--iters N] [--seed N] [--out f.rpc]
  *       Run sharded flow EM on a stored circuit against data sampled
  *       from it (a self-fit: the log-likelihood trace must be
- *       non-decreasing).  Exercises the --threads / --shards /
- *       --fast-reductions knobs end to end and reports the resolved
- *       shard count and per-iteration likelihoods.
+ *       non-decreasing).  Exercises the --threads / --shards knobs
+ *       end to end and reports the resolved shard count and
+ *       per-iteration likelihoods.
  *
  *   query <file.rpc> [--budget X] [--rows N] [--seed N]
  *         [--missing-pct N] [--is-samples N]
@@ -153,8 +153,7 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: reason_cli [--threads N] [--shards N]\n"
-        "                  [--fast-reductions] <command> [args]\n"
+        "usage: reason_cli [--threads N] [--shards N] <command> [args]\n"
         "  solve <file.cnf> [--budget N] [--no-preprocess]\n"
         "  count <file.cnf> [--nnf out.nnf]\n"
         "  marginals <file.cnf> [--pc out.rpc]\n"
@@ -178,9 +177,8 @@ usage()
         "engine (0 = hardware concurrency); results are identical for\n"
         "any thread count.\n"
         "--shards N sets the sample-shard count of learning reductions\n"
-        "(EM flows, Baum-Welch; 0 = auto), and --fast-reductions trades\n"
-        "the thread-count-independent fixed reduction shape for\n"
-        "per-worker sharding.\n");
+        "(EM flows, Baum-Welch; 0 = auto); results are identical for\n"
+        "any thread count.\n");
     return 2;
 }
 
@@ -688,16 +686,13 @@ cmdFit(const std::vector<std::string> &args)
     Rng rng(seed);
     std::vector<pc::Assignment> data =
         pc::sampleDataset(rng, circuit, size_t(samples));
-    pc::EmOptions opts; // inherits --shards / --fast-reductions
+    pc::EmOptions opts; // inherits --shards
     opts.maxIterations = uint32_t(iters);
-    const unsigned shards = util::resolveShardCount(
-        opts.shards, opts.deterministic, data.size(),
-        util::globalThreads());
+    const unsigned shards = util::resolveShardCount(opts.shards, data.size());
     std::printf("fit: %zu samples, <=%u iterations, %u worker(s), "
-                "%u shard(s), %s reductions\n",
+                "%u shard(s)\n",
                 data.size(), opts.maxIterations, util::globalThreads(),
-                shards,
-                opts.deterministic ? "deterministic" : "fast");
+                shards);
 
     pc::EmTrace trace = pc::emTrain(circuit, data, opts);
     for (size_t i = 0; i < trace.logLikelihood.size(); ++i)
@@ -1361,9 +1356,6 @@ main(int argc, char **argv)
                 return usage();
             reductions.shards = unsigned(shards);
             at += 2;
-        } else if (all[at] == "--fast-reductions") {
-            reductions.deterministic = false;
-            at += 1;
         } else {
             return usage();
         }
