@@ -97,11 +97,20 @@ compilerName()
 #endif
 }
 
+/** Upper bounds of the numeric arguments (stated by usageError). */
+constexpr unsigned long long kMaxVars = 20000;
+constexpr unsigned long long kMaxReps = 100000;
+constexpr unsigned long long kMaxBatchRows = 1ull << 20;
+
 int
 usageError()
 {
-    std::fprintf(stderr, "usage: bench_eval [num_vars >= 2] [reps >= 1] "
-                         "[--threads N] [--repeats N] [--max-batch N]\n");
+    std::fprintf(stderr,
+                 "usage: bench_eval [num_vars 2..%llu] [reps 1..%llu] "
+                 "[--threads 0..%u] [--repeats 1..%llu] "
+                 "[--max-batch 1..%llu]\n",
+                 kMaxVars, kMaxReps, util::kMaxThreads, kMaxReps,
+                 kMaxBatchRows);
     return 1;
 }
 
@@ -298,25 +307,30 @@ main(int argc, char **argv)
 
     size_t positional = 0;
     for (int i = 1; i < argc; ++i) {
+        uint64_t v = 0;
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            if (!util::parseThreadCount(argv[++i], &threads))
+            if (!util::parseCount(argv[++i], 0, util::kMaxThreads, &v))
                 return usageError();
+            threads = unsigned(v);
         } else if (std::strcmp(argv[i], "--repeats") == 0 &&
                    i + 1 < argc) {
-            reps = size_t(std::atoll(argv[++i]));
+            if (!util::parseCount(argv[++i], 1, kMaxReps, &v))
+                return usageError();
+            reps = size_t(v);
         } else if (std::strcmp(argv[i], "--max-batch") == 0 &&
                    i + 1 < argc) {
-            long long v = std::atoll(argv[++i]);
-            if (v < 1 || v > (1 << 20))
+            if (!util::parseCount(argv[++i], 1, kMaxBatchRows, &v))
                 return usageError();
             max_batch = unsigned(v);
-        } else if (argv[i][0] == '-') {
-            return usageError();
         } else if (positional == 0) {
-            num_vars = uint32_t(std::atoi(argv[i]));
+            if (!util::parseCount(argv[i], 2, kMaxVars, &v))
+                return usageError();
+            num_vars = uint32_t(v);
             ++positional;
         } else if (positional == 1) {
-            reps = size_t(std::atoll(argv[i]));
+            if (!util::parseCount(argv[i], 1, kMaxReps, &v))
+                return usageError();
+            reps = size_t(v);
             ++positional;
         } else {
             return usageError();
@@ -327,8 +341,6 @@ main(int argc, char **argv)
         if (threads == 0)
             threads = 1;
     }
-    if (num_vars < 2 || reps == 0)
-        return usageError();
 
     const char *provenance_fmt =
         ",\"compiler\":\"%s\",\"flags\":\"%s\",\"build\":\"%s\","
@@ -843,8 +855,8 @@ main(int argc, char **argv)
                 sopts.dispatchers = dispatchers;
                 sopts.queuePolicy = policy;
                 sopts.autoLingerWindow = dispatchers == 4;
-                sopts.startPaused = true;
                 sys::ReasonEngine engine(sopts);
+                engine.pause();
                 sys::EngineStats stats{};
                 std::vector<sys::Session> sessions;
                 for (size_t c = 0; c < kClients; ++c)
@@ -900,8 +912,8 @@ main(int argc, char **argv)
             sopts.dispatchers = 2;
             sopts.queueCapacity = capacity;
             sopts.queuePolicy = sys::QueuePolicy::ShedOldest;
-            sopts.startPaused = true;
             sys::ReasonEngine engine(sopts);
+            engine.pause();
             std::vector<sys::Session> sessions;
             for (size_t c = 0; c < kClients; ++c)
                 sessions.push_back(engine.createSession(circuit));

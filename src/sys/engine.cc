@@ -35,16 +35,6 @@ namespace {
 /** Distinct lowerings each dispatcher keeps warm evaluators for. */
 constexpr size_t kMaxCachedEvaluators = 32;
 
-QueueOptions
-queueOptionsFrom(const ServeOptions &options)
-{
-    QueueOptions q;
-    q.capacity = options.queueCapacity;
-    q.policy = options.queuePolicy;
-    q.autoLinger = options.autoLingerWindow;
-    return q;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -60,41 +50,12 @@ Session::finishRejected(std::shared_ptr<Request> request, int error) const
 }
 
 RequestHandle
-Session::submit(pc::Assignment row)
-{
-    std::vector<pc::Assignment> rows;
-    rows.push_back(std::move(row));
-    return submitBatch(std::move(rows));
-}
-
-RequestHandle
-Session::submitBatch(std::vector<pc::Assignment> rows)
-{
-    return submitBatch(std::move(rows), 0.0);
-}
-
-RequestHandle
-Session::submit(pc::Assignment row, double accuracyBudget)
-{
-    std::vector<pc::Assignment> rows;
-    rows.push_back(std::move(row));
-    return submitBatch(std::move(rows), accuracyBudget);
-}
-
-RequestHandle
 Session::submit(pc::Assignment row, double accuracyBudget,
                 uint64_t deadlineNs)
 {
     std::vector<pc::Assignment> rows;
     rows.push_back(std::move(row));
     return submitBatch(std::move(rows), accuracyBudget, deadlineNs);
-}
-
-RequestHandle
-Session::submitBatch(std::vector<pc::Assignment> rows,
-                     double accuracyBudget)
-{
-    return submitBatch(std::move(rows), accuracyBudget, 0);
 }
 
 RequestHandle
@@ -124,8 +85,8 @@ Session::submitBatch(std::vector<pc::Assignment> rows,
                                       REASON_ERR_BAD_ASSIGNMENT);
     }
     // Tier selection: a positive budget routes to the approximate
-    // tier; budget 0 (including -0.0) is the exact tier, so the
-    // budgeted overloads degrade to the classic path bit for bit.
+    // tier; budget 0 (including -0.0) is the exact tier, bit for bit
+    // the same path as a budget-less submission.
     if (accuracyBudget > 0.0) {
         request->mode = REASON_MODE_APPROX;
         request->accuracyBudget = accuracyBudget;
@@ -203,14 +164,12 @@ Session::wait(const RequestHandle &handle) const
 // ---------------------------------------------------------------------------
 
 ReasonEngine::ReasonEngine(const ServeOptions &options)
-    : options_(options), queue_(queueOptionsFrom(options))
+    : options_(options), queue_(options)
 {
     if (options_.maxBatch == 0)
         options_.maxBatch = 1;
     if (options_.dispatchers == 0)
         options_.dispatchers = 1;
-    if (options_.startPaused)
-        queue_.pause();
     // Disjoint pin layout: dispatcher d occupies the contiguous core
     // block [base, base + poolThreads).  The dispatcher thread takes
     // the block's first core — it is worker 0 of its own pool (the
@@ -297,33 +256,7 @@ ReasonEngine::drain(uint64_t deadlineNs)
 EngineStats
 ReasonEngine::stats() const
 {
-    const QueueStats q = queue_.stats();
-    EngineStats s;
-    s.requests = q.requests;
-    s.rows = q.rows;
-    s.batches = q.batches;
-    s.completed = q.completed;
-    s.executed = q.executed;
-    s.meanBatchOccupancy = q.meanBatchOccupancy();
-    s.maxQueueDepth = q.maxQueueDepth;
-    // Means are over *executed* requests: shed/rejected/shutdown
-    // completions carry no latency and would bias the means low
-    // exactly when the engine is overloaded.
-    if (q.executed > 0) {
-        s.meanQueueMs =
-            double(q.totalQueueNs) / double(q.executed) * 1e-6;
-        s.meanLatencyMs =
-            double(q.totalLatencyNs) / double(q.executed) * 1e-6;
-    }
-    s.shedRequests = q.shedRequests;
-    s.expired = q.expired;
-    s.cancelled = q.cancelled;
-    s.p50LatencyMs = q.p50LatencyMs;
-    s.p99LatencyMs = q.p99LatencyMs;
-    s.ewmaInterArrivalUs = q.ewmaInterArrivalUs;
-    s.ewmaExecUs = q.ewmaExecUs;
-    s.lastLingerUs = q.lastLingerUs;
-    return s;
+    return queue_.stats();
 }
 
 RequestHandle

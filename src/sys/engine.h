@@ -12,7 +12,9 @@
  * identical circuits share batches — and execute each coalesced group
  * as one blocked SoA evaluation on pc::CircuitEvaluator.  The queue
  * provides bounded admission with overload shedding, per-session
- * fairness, and optional linger autotuning (see request_queue.h).
+ * fairness, and optional linger autotuning (see request_queue.h, which
+ * also declares the engine's ServeOptions and EngineStats: the queue
+ * reads the one and produces the other).
  *
  * **Determinism contract.**  Every circuit-mode row is evaluated
  * through the one canonical SIMD block kernel of
@@ -61,112 +63,6 @@ class Circuit;
 namespace sys {
 
 class ReasonEngine;
-
-/**
- * Serving knobs of a ReasonEngine (mirrored on sys::RuntimeOptions and
- * the reason_cli/bench_eval flags).
- */
-struct ServeOptions
-{
-    /**
-     * Most rows one coalesced evaluation may carry.  Larger batches
-     * amortize the circuit traversal across more SoA rows; 0 behaves
-     * as 1 (no coalescing).  The cap bounds *coalescing*, not single
-     * requests: one submitBatch larger than maxBatch still executes
-     * as one evaluation (it just never gains co-riders), so clients
-     * wanting bounded per-dispatch work must split bulk queries
-     * themselves — results are bit-identical either way.
-     */
-    unsigned maxBatch = 64;
-    /**
-     * How long (microseconds) a dispatch lingers for same-key late
-     * arrivals when the group is below maxBatch.  0 (default)
-     * dispatches greedily: coalescing then comes purely from backlog,
-     * which adds no idle latency to lightly loaded engines.
-     */
-    unsigned maxCoalesceWindowUs = 0;
-    /**
-     * Worker count of the engine's evaluation pool (the blocked SoA
-     * row-block parallelism of CircuitEvaluator).  0 selects hardware
-     * concurrency.  Results are bit-identical for any value.
-     */
-    unsigned serveThreads = 1;
-    /**
-     * Start with dispatching held (ReasonEngine::resume() releases
-     * it).  Lets tests and benchmarks build a backlog so coalescing is
-     * deterministic rather than arrival-timing dependent.
-     */
-    bool startPaused = false;
-    /**
-     * Dispatcher threads draining the sharded queue.  Each dispatcher
-     * owns a private evaluator cache and evaluation pool, so circuit
-     * shards can execute concurrently; 0 behaves as 1.  Results are
-     * bit-identical for any count.
-     */
-    unsigned dispatchers = 1;
-    /**
-     * Max requests pending in the queue; 0 = unbounded.  At capacity
-     * the engine sheds per `queuePolicy` with REASON_ERR_OVERLOAD
-     * instead of letting latency grow without bound.
-     */
-    size_t queueCapacity = 0;
-    /** What a full queue does with the overflow. */
-    QueuePolicy queuePolicy = QueuePolicy::RejectNew;
-    /**
-     * Autotune the coalesce linger window from EWMAs of request
-     * inter-arrival time and batch execution time; the configured
-     * maxCoalesceWindowUs then acts as the cap (default cap when 0).
-     */
-    bool autoLingerWindow = false;
-    /**
-     * Pin dispatcher threads and evaluation-pool workers to cores
-     * (best effort; a no-op on platforms without affinity support).
-     */
-    bool pinThreads = false;
-};
-
-/** Aggregate serving statistics (snapshot; monotone counters). */
-struct EngineStats
-{
-    /** Requests accepted into the queue. */
-    uint64_t requests = 0;
-    /** Rows across accepted requests. */
-    uint64_t rows = 0;
-    /** Coalesced batches dispatched. */
-    uint64_t batches = 0;
-    /** Requests completed (including shutdown/overload failures). */
-    uint64_t completed = 0;
-    /** Requests that actually executed (completed minus failures). */
-    uint64_t executed = 0;
-    /** Mean rows per dispatched batch. */
-    double meanBatchOccupancy = 0.0;
-    /** Deepest pending-queue depth observed. */
-    uint64_t maxQueueDepth = 0;
-    /** Mean enqueue-to-dispatch wait over executed requests (ms). */
-    double meanQueueMs = 0.0;
-    /** Mean enqueue-to-completion latency over executed requests (ms). */
-    double meanLatencyMs = 0.0;
-    /** Requests completed with REASON_ERR_OVERLOAD. */
-    uint64_t shedRequests = 0;
-    /**
-     * Requests completed with REASON_ERR_DEADLINE_EXCEEDED (deadline
-     * passed while queued, or drain-deadline expiry).  Never counted
-     * in `executed`, so latency means stay unbiased.
-     */
-    uint64_t expired = 0;
-    /** Requests completed with REASON_ERR_CANCELLED. */
-    uint64_t cancelled = 0;
-    /**
-     * Latency percentiles over executed requests, from a fixed-size
-     * reservoir sample — the same estimate bench_eval reports.
-     */
-    double p50LatencyMs = 0.0;
-    double p99LatencyMs = 0.0;
-    /** Linger-autotune telemetry (EWMAs; zero until enough traffic). */
-    double ewmaInterArrivalUs = 0.0;
-    double ewmaExecUs = 0.0;
-    double lastLingerUs = 0.0;
-};
 
 /**
  * Completion token of one submission.  Cheap to copy; shares ownership
@@ -265,46 +161,34 @@ class Session
     bool valid() const { return engine_ != nullptr; }
 
     /**
-     * Circuit sessions: submit one assignment row.  Never blocks and
-     * never throws; validation failures return an already-completed
-     * handle carrying the ReasonError.
-     */
-    RequestHandle submit(pc::Assignment row);
-
-    /**
-     * Circuit sessions: submit many rows as one request.  A request
+     * Circuit sessions: submit many rows as one request.  Never blocks
+     * and never throws; validation failures return an
+     * already-completed handle carrying the ReasonError.  A request
      * always executes as one evaluation, even when it exceeds
      * ServeOptions::maxBatch (the cap bounds coalescing only); split
      * bulk queries into several requests for bounded dispatch units.
+     *
+     * The accuracy budget selects the tier.  Budget 0 routes to the
+     * exact tier; a positive budget routes to REASON_MODE_APPROX,
+     * whose results carry certified per-row bounds
+     * (RequestHandle::boundsLo/boundsHi) and are bit-identical across
+     * threads, batch shapes, and dispatcher counts.  NaN, infinite,
+     * or negative budgets fail with REASON_ERR_BAD_BUDGET.
+     *
+     * `deadlineNs` is *relative* to the submit call (anchored to the
+     * steady clock here; 0 = no deadline).  A request whose deadline
+     * passes while it is still queued completes with
+     * REASON_ERR_DEADLINE_EXCEEDED; once a dispatcher picks it up it
+     * always completes normally, so answered results stay
+     * bit-identical to deadline-less runs.
      */
-    RequestHandle submitBatch(std::vector<pc::Assignment> rows);
-
-    /**
-     * Tier-selecting submission: the engine picks the tier from the
-     * accuracy budget.  Budget 0 routes to the exact tier (identical
-     * to the budget-less overloads); a positive budget routes to
-     * REASON_MODE_APPROX, whose results carry certified per-row
-     * bounds (RequestHandle::boundsLo/boundsHi) and are bit-identical
-     * across threads, batch shapes, and dispatcher counts.  NaN,
-     * infinite, or negative budgets fail with REASON_ERR_BAD_BUDGET.
-     */
-    RequestHandle submit(pc::Assignment row, double accuracyBudget);
     RequestHandle submitBatch(std::vector<pc::Assignment> rows,
-                              double accuracyBudget);
+                              double accuracyBudget = 0.0,
+                              uint64_t deadlineNs = 0);
 
-    /**
-     * Deadline-carrying submissions: `deadlineNs` is *relative* to the
-     * submit call (anchored to the steady clock here; 0 = no
-     * deadline).  A request whose deadline passes while it is still
-     * queued completes with REASON_ERR_DEADLINE_EXCEEDED; once a
-     * dispatcher picks it up it always completes normally, so answered
-     * results stay bit-identical to deadline-less runs.
-     */
-    RequestHandle submit(pc::Assignment row, double accuracyBudget,
-                         uint64_t deadlineNs);
-    RequestHandle submitBatch(std::vector<pc::Assignment> rows,
-                              double accuracyBudget,
-                              uint64_t deadlineNs);
+    /** Circuit sessions: submitBatch of one assignment row. */
+    RequestHandle submit(pc::Assignment row, double accuracyBudget = 0.0,
+                         uint64_t deadlineNs = 0);
 
     /**
      * Program sessions: submit a Listing-1 batch (row-major inputs,
@@ -382,9 +266,13 @@ class ReasonEngine
     Session createSession(const arch::ArchConfig &config,
                           compiler::Program program);
 
-    /** Hold dispatching; queued submissions accumulate (and coalesce). */
+    /**
+     * Hold dispatching; queued submissions accumulate (and coalesce).
+     * Called before the first submit, it makes coalescing
+     * deterministic rather than arrival-timing dependent.
+     */
     void pause();
-    /** Release a pause() (or a startPaused construction). */
+    /** Release a pause(). */
     void resume();
 
     /**

@@ -2,50 +2,15 @@
 
 #include <cstring>
 
-#include "util/logging.h"
-#include "util/parallel.h"
-
 namespace reason {
 namespace sys {
 
-namespace {
-
-ServeOptions
-serveOptionsFrom(const RuntimeOptions &options)
-{
-    ServeOptions serve;
-    serve.maxBatch = options.maxBatch;
-    serve.maxCoalesceWindowUs = options.maxCoalesceWindowUs;
-    serve.serveThreads = options.serveThreads;
-    serve.dispatchers = options.dispatchers;
-    serve.queueCapacity = options.queueCapacity;
-    serve.queuePolicy = options.queuePolicy;
-    serve.autoLingerWindow = options.autoLingerWindow;
-    serve.pinThreads = options.pinThreads;
-    return serve;
-}
-
-} // namespace
-
-ReasonRuntime::ReasonRuntime(const arch::ArchConfig &config,
-                             compiler::Program program)
-    : session_(engine_.createSession(config, std::move(program)))
-{
-}
-
 ReasonRuntime::ReasonRuntime(const arch::ArchConfig &config,
                              compiler::Program program,
-                             const RuntimeOptions &options)
-    : engine_(serveOptionsFrom(options)),
+                             const ServeOptions &options)
+    : engine_(options),
       session_(engine_.createSession(config, std::move(program)))
 {
-    if (options.evalThreads > 0)
-        util::setGlobalThreads(options.evalThreads);
-    if (options.learnShards != 0) {
-        util::ReductionPolicy policy = util::reductionPolicy();
-        policy.shards = options.learnShards;
-        util::setReductionPolicy(policy);
-    }
 }
 
 int

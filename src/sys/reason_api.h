@@ -45,71 +45,21 @@ struct SharedMemory
 };
 
 /**
- * Runtime-level execution options (Sec. VI-B extensions).
- */
-struct RuntimeOptions
-{
-    /**
-     * Worker count for the functional (flat wavefront) evaluation
-     * paths reached through this runtime.  Applied process-wide via
-     * util::setGlobalThreads at construction; 0 leaves the current
-     * global setting untouched.  Thread-parallel evaluation is
-     * bit-identical to serial, so this knob never changes results.
-     * Evaluators resolve the global pool per call (never caching the
-     * pointer), but the runtime must not be constructed while another
-     * thread is mid-evaluation on the global pool — configure at
-     * startup or between evaluation phases.
-     */
-    unsigned evalThreads = 0;
-
-    /**
-     * Sample-shard count of the learning reductions (EM flow
-     * accumulation, Baum-Welch statistics) reached through this
-     * process.  Applied to util::ReductionPolicy at construction; 0
-     * leaves the current policy untouched (its own 0 means auto).
-     */
-    unsigned learnShards = 0;
-
-    /**
-     * Serving knobs forwarded to the embedded sys::ReasonEngine (see
-     * ServeOptions for semantics).  They do not change Listing-1
-     * results — the shim submits and waits one batch at a time, so
-     * coalescing never crosses a REASON_execute call — but they apply
-     * when the runtime's engine is shared with async submitters.
-     */
-    unsigned maxBatch = 64;
-    /** ServeOptions::maxCoalesceWindowUs. */
-    unsigned maxCoalesceWindowUs = 0;
-    /** ServeOptions::serveThreads (0 = hardware concurrency). */
-    unsigned serveThreads = 1;
-    /** ServeOptions::dispatchers (0 behaves as 1). */
-    unsigned dispatchers = 1;
-    /** ServeOptions::queueCapacity (0 = unbounded). */
-    size_t queueCapacity = 0;
-    /** ServeOptions::queuePolicy. */
-    QueuePolicy queuePolicy = QueuePolicy::RejectNew;
-    /** ServeOptions::autoLingerWindow. */
-    bool autoLingerWindow = false;
-    /**
-     * Pin engine dispatchers and pool workers to cores
-     * (ServeOptions::pinThreads; best effort, no-op where
-     * unsupported).
-     */
-    bool pinThreads = false;
-};
-
-/**
  * Simulated REASON co-processor runtime implementing the C-style
  * interface of Listing 1, as a compatibility shim over ReasonEngine.
  */
 class ReasonRuntime
 {
   public:
-    ReasonRuntime(const arch::ArchConfig &config,
-                  compiler::Program program);
+    /**
+     * `options` go to the embedded engine unchanged.  They do not
+     * change Listing-1 results — REASON_execute submits and waits one
+     * batch at a time, so coalescing never crosses a call — but they
+     * apply when the engine is shared with async submitters.
+     */
     ReasonRuntime(const arch::ArchConfig &config,
                   compiler::Program program,
-                  const RuntimeOptions &options);
+                  const ServeOptions &options = {});
 
     /** Shared memory visible to both host and co-processor. */
     SharedMemory &sharedMemory() { return shm_; }

@@ -54,7 +54,7 @@ percentileSorted(const std::vector<double> &sorted, double q)
 
 } // namespace
 
-RequestQueue::RequestQueue(const QueueOptions &options)
+RequestQueue::RequestQueue(const ServeOptions &options)
     : options_(options)
 {
     reservoir_.reserve(kLatencyReservoirSize);
@@ -277,11 +277,11 @@ RequestQueue::push(const std::shared_ptr<Request> &request)
     // does not depend on a dispatcher being free to sweep).
     if (minDeadlineNs_ != 0 && now >= minDeadlineNs_)
         sweepExpiredLocked(now);
-    if (options_.capacity > 0 &&
-        totalPending_ >= options_.capacity) {
+    if (options_.queueCapacity > 0 &&
+        totalPending_ >= options_.queueCapacity) {
         // Shed before admitting so the pending count never exceeds
         // capacity; fall back to rejection if nothing is sheddable.
-        if (options_.policy == QueuePolicy::RejectNew ||
+        if (options_.queuePolicy == QueuePolicy::RejectNew ||
             !shedOldestLocked()) {
             failLocked(request, REASON_ERR_OVERLOAD, now);
             return;
@@ -311,8 +311,8 @@ RequestQueue::push(const std::shared_ptr<Request> &request)
     ++shard.pendingRequests;
     ++totalPending_;
     noteDeadlineLocked(request->deadlineNs);
-    if (options_.capacity > 0 &&
-        options_.policy == QueuePolicy::ShedOldest)
+    if (options_.queueCapacity > 0 &&
+        options_.queuePolicy == QueuePolicy::ShedOldest)
         age_.push_back(request);
 
     stats_.requests += 1;
@@ -379,7 +379,7 @@ RequestQueue::effectiveLingerLocked(size_t rowCount, size_t maxRows,
                                     unsigned lingerUs)
 {
     unsigned effective = lingerUs;
-    if (options_.autoLinger) {
+    if (options_.autoLingerWindow) {
         const unsigned capUs =
             lingerUs > 0 ? lingerUs : kAutoLingerCapUs;
         effective = 0;
@@ -487,7 +487,7 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         }
         running_ += group.size();
         stats_.batches += 1;
-        stats_.batchedRows += rowCount;
+        batchedRows_ += rowCount;
         return group;
     }
 }
@@ -520,8 +520,8 @@ RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
     for (const auto &r : group) {
         r->state = RequestState::Done;
         r->completedNs = done;
-        stats_.totalQueueNs += r->startedNs - r->enqueuedNs;
-        stats_.totalLatencyNs += done - r->enqueuedNs;
+        totalQueueNs_ += r->startedNs - r->enqueuedNs;
+        totalLatencyNs_ += done - r->enqueuedNs;
         ++stats_.completed;
         ++stats_.executed;
         recordLatencyLocked(double(done - r->enqueuedNs) / 1e6);
@@ -624,7 +624,7 @@ RequestQueue::shutdown()
             for (const auto &r : lane.queue) {
                 // Failed, never executed: count completion only, so
                 // the latency means keep their executed-requests
-                // denominator (see QueueStats::executed).
+                // denominator (see EngineStats::executed).
                 r->error = REASON_ERR_SHUTDOWN;
                 r->state = RequestState::Done;
                 r->completedNs = done;
@@ -660,11 +660,20 @@ RequestQueue::resume()
     workCv_.notify_all();
 }
 
-QueueStats
+EngineStats
 RequestQueue::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    QueueStats out = stats_;
+    EngineStats out = stats_;
+    if (out.batches > 0)
+        out.meanBatchOccupancy =
+            double(batchedRows_) / double(out.batches);
+    if (out.executed > 0) {
+        out.meanQueueMs =
+            double(totalQueueNs_) / double(out.executed) * 1e-6;
+        out.meanLatencyMs =
+            double(totalLatencyNs_) / double(out.executed) * 1e-6;
+    }
     out.ewmaInterArrivalUs = ewmaInterArrivalNs_ / 1000.0;
     out.ewmaExecUs = ewmaExecNs_ / 1000.0;
     out.lastLingerUs = lastLingerUs_;

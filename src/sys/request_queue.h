@@ -142,18 +142,62 @@ enum class QueuePolicy : uint8_t
     ShedOldest = 1
 };
 
-/** Admission-control and autotuning knobs of the queue. */
-struct QueueOptions
+/**
+ * Serving knobs of a ReasonEngine and its queue — the one serving
+ * configuration (ReasonRuntime forwards it unchanged; the reason_cli
+ * serve and bench_eval flags set its fields).
+ */
+struct ServeOptions
 {
-    /** Max pending requests; 0 = unbounded (no shedding). */
-    size_t capacity = 0;
-    QueuePolicy policy = QueuePolicy::RejectNew;
     /**
-     * Derive the coalesce linger window from the arrival/execution
-     * EWMAs instead of using the configured window verbatim (the
-     * configured window then acts as the upper cap).
+     * Most rows one coalesced evaluation may carry.  Larger batches
+     * amortize the circuit traversal across more SoA rows; 0 behaves
+     * as 1 (no coalescing).  The cap bounds *coalescing*, not single
+     * requests: one submitBatch larger than maxBatch still executes
+     * as one evaluation (it just never gains co-riders), so clients
+     * wanting bounded per-dispatch work must split bulk queries
+     * themselves — results are bit-identical either way.
      */
-    bool autoLinger = false;
+    unsigned maxBatch = 64;
+    /**
+     * How long (microseconds) a dispatch lingers for same-key late
+     * arrivals when the group is below maxBatch.  0 (default)
+     * dispatches greedily: coalescing then comes purely from backlog,
+     * which adds no idle latency to lightly loaded engines.
+     */
+    unsigned maxCoalesceWindowUs = 0;
+    /**
+     * Worker count of the engine's evaluation pool (the blocked SoA
+     * row-block parallelism of CircuitEvaluator).  0 selects hardware
+     * concurrency.  Results are bit-identical for any value.
+     */
+    unsigned serveThreads = 1;
+    /**
+     * Dispatcher threads draining the sharded queue.  Each dispatcher
+     * owns a private evaluator cache and evaluation pool, so circuit
+     * shards can execute concurrently; 0 behaves as 1.  Results are
+     * bit-identical for any count.
+     */
+    unsigned dispatchers = 1;
+    /**
+     * Max requests pending in the queue; 0 = unbounded.  At capacity
+     * the engine sheds per `queuePolicy` with REASON_ERR_OVERLOAD
+     * instead of letting latency grow without bound.
+     */
+    size_t queueCapacity = 0;
+    /** What a full queue does with the overflow. */
+    QueuePolicy queuePolicy = QueuePolicy::RejectNew;
+    /**
+     * Autotune the coalesce linger window from EWMAs of request
+     * inter-arrival time and batch execution time; the configured
+     * maxCoalesceWindowUs then acts as the cap (default cap when 0).
+     */
+    bool autoLingerWindow = false;
+    /**
+     * Pin dispatcher threads and evaluation-pool workers to cores
+     * (best effort; a no-op on platforms without affinity support).
+     */
+    bool pinThreads = false;
 };
 
 /** Lifecycle of a request inside the engine. */
@@ -277,8 +321,13 @@ struct Request
     uint64_t latencyNs() const { return completedNs - enqueuedNs; }
 };
 
-/** Counters accumulated by the queue since engine construction. */
-struct QueueStats
+/**
+ * Serving statistics since engine construction: the queue's own
+ * snapshot (RequestQueue::stats), returned as is by
+ * ReasonEngine::stats.  Counters are monotone; means and percentiles
+ * are computed at snapshot time.
+ */
+struct EngineStats
 {
     /** Requests admitted (excludes validation and RejectNew rejects). */
     uint64_t requests = 0;
@@ -286,52 +335,44 @@ struct QueueStats
     uint64_t rows = 0;
     /** Coalesced groups handed to dispatchers. */
     uint64_t batches = 0;
-    /** Rows across those groups (batchedRows / batches = occupancy). */
-    uint64_t batchedRows = 0;
-    /** Deepest pending-request count observed at admission time. */
-    uint64_t maxQueueDepth = 0;
-    /** Sum of enqueue-to-start times over executed requests. */
-    uint64_t totalQueueNs = 0;
-    /** Sum of enqueue-to-completion times over executed requests. */
-    uint64_t totalLatencyNs = 0;
     /** Requests completed (including shutdown/overload failures). */
     uint64_t completed = 0;
     /**
      * Requests that ran to completion through a dispatcher — the
      * denominator of the latency/queue-time means and the reservoir
-     * population.  Shed, rejected, and shutdown-failed requests count
-     * in `completed` only, so overload cannot bias the means low.
+     * population.  Shed, rejected, expired, cancelled, and
+     * shutdown-failed requests count in `completed` only, so overload
+     * cannot bias the means low.
      */
     uint64_t executed = 0;
+    /** Mean rows per dispatched batch. */
+    double meanBatchOccupancy = 0.0;
+    /** Deepest pending-request count observed at admission time. */
+    uint64_t maxQueueDepth = 0;
+    /** Mean enqueue-to-dispatch wait over executed requests (ms). */
+    double meanQueueMs = 0.0;
+    /** Mean enqueue-to-completion latency over executed requests (ms). */
+    double meanLatencyMs = 0.0;
     /** Requests completed with REASON_ERR_OVERLOAD (both policies). */
     uint64_t shedRequests = 0;
     /**
      * Requests completed with REASON_ERR_DEADLINE_EXCEEDED (deadline
-     * passed while queued, or expired by a drain deadline).  Like shed
-     * requests these never count in `executed`, so latency means stay
-     * unbiased under deadline pressure.
+     * passed while queued, or drain-deadline expiry).
      */
     uint64_t expired = 0;
     /** Requests completed with REASON_ERR_CANCELLED (client cancel). */
     uint64_t cancelled = 0;
-
-    /** Latency percentiles over executed requests (reservoir sample). */
+    /**
+     * Latency percentiles over executed requests, from a fixed-size
+     * reservoir sample — the same estimate bench_eval reports.
+     */
     double p50LatencyMs = 0.0;
     double p99LatencyMs = 0.0;
-
-    /** Autotuning state snapshot (zero until enough traffic). */
+    /** Linger-autotune telemetry (EWMAs; zero until enough traffic). */
     double ewmaInterArrivalUs = 0.0;
     double ewmaExecUs = 0.0;
     /** Most recent effective linger window a pop used. */
     double lastLingerUs = 0.0;
-
-    /** Mean rows per coalesced batch (the occupancy statistic). */
-    double
-    meanBatchOccupancy() const
-    {
-        return batches == 0 ? 0.0
-                            : double(batchedRows) / double(batches);
-    }
 };
 
 /** Latency samples kept for the p50/p99 estimate (Algorithm R). */
@@ -352,7 +393,7 @@ inline constexpr size_t kLatencyReservoirSize = 2048;
 class RequestQueue
 {
   public:
-    explicit RequestQueue(const QueueOptions &options = {});
+    explicit RequestQueue(const ServeOptions &options = {});
     RequestQueue(const RequestQueue &) = delete;
     RequestQueue &operator=(const RequestQueue &) = delete;
 
@@ -434,7 +475,7 @@ class RequestQueue
     /** Resume dispatching after pause(). */
     void resume();
 
-    QueueStats stats() const;
+    EngineStats stats() const;
 
   private:
     /** One session's FIFO of queued requests within a shard. */
@@ -495,7 +536,7 @@ class RequestQueue
                                    unsigned lingerUs);
     void recordLatencyLocked(double latencyMs);
 
-    QueueOptions options_;
+    ServeOptions options_;
     mutable std::mutex mutex_;
     /** Wakes dispatchers: new work, re-readied shard, resume, shutdown. */
     std::condition_variable workCv_;
@@ -526,7 +567,12 @@ class RequestQueue
     /** Admission closed by beginDrain(). */
     bool draining_ = false;
 
-    QueueStats stats_;
+    /** Monotone counters; stats() fills in the derived fields. */
+    EngineStats stats_;
+    /** Running totals behind the occupancy and latency means. */
+    uint64_t batchedRows_ = 0;
+    uint64_t totalQueueNs_ = 0;
+    uint64_t totalLatencyNs_ = 0;
 
     /** EWMA state for linger autotuning (nanoseconds). */
     uint64_t lastArrivalNs_ = 0;

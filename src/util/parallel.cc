@@ -157,19 +157,23 @@ setGlobalThreads(unsigned n)
 }
 
 bool
-parseThreadCount(const char *text, unsigned *out)
+parseCount(const std::string &text, uint64_t min_value,
+           uint64_t max_value, uint64_t *out)
 {
-    if (text == nullptr || *text == '\0')
+    if (text.empty())
         return false;
-    unsigned long value = 0;
-    for (const char *p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
+    uint64_t value = 0;
+    for (char ch : text) {
+        if (ch < '0' || ch > '9')
             return false;
-        value = value * 10 + unsigned(*p - '0');
-        if (value > kMaxThreads)
-            return false;
+        const uint64_t digit = uint64_t(ch - '0');
+        if (digit > max_value || value > (max_value - digit) / 10)
+            return false; // past max_value (overflow included)
+        value = value * 10 + digit;
     }
-    *out = unsigned(value);
+    if (value < min_value)
+        return false;
+    *out = value;
     return true;
 }
 

@@ -34,7 +34,9 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,25 +129,30 @@ ThreadPool &globalThreadPool();
 
 /**
  * Set the worker count of the global pool (the `--threads` knob of the
- * CLI, bench_eval, and sys::ReasonRuntime).  `n == 0` restores the
- * hardware-concurrency default.  Recreates the pool; call at startup or
- * between evaluation phases, never while a parallelFor is in flight.
+ * CLI and bench_eval).  `n == 0` restores the hardware-concurrency
+ * default.  Recreates the pool; call at startup or between evaluation
+ * phases, never while a parallelFor is in flight.
  */
 void setGlobalThreads(unsigned n);
 
 /** Worker count the global pool has (or would be created with). */
 unsigned globalThreads();
 
+/** Largest worker count a `--threads`-style argument may request. */
+inline constexpr unsigned kMaxThreads = 1024;
+
 /**
- * Parse a user-supplied thread count (CLI/bench `--threads` values).
- * Accepts decimal integers in [0, kMaxThreads] (0 = hardware
- * concurrency); rejects negatives, garbage, and absurd counts instead
- * of wrapping them into ~4-billion-thread pool requests.
+ * Strict parser for user-supplied decimal counts (CLI and bench
+ * arguments; thread counts are parseCount(text, 0, kMaxThreads)).
+ * Accepts only digits with a value in [min_value, max_value]; rejects
+ * empty text, signs, garbage, overflow, and out-of-range values
+ * instead of wrapping or throwing, so callers can fall back to their
+ * usage message.
  *
  * @return true and sets *out on success, false otherwise.
  */
-inline constexpr unsigned kMaxThreads = 1024;
-bool parseThreadCount(const char *text, unsigned *out);
+bool parseCount(const std::string &text, uint64_t min_value,
+                uint64_t max_value, uint64_t *out);
 
 /**
  * Pin the calling thread to core `core mod hardware_concurrency`

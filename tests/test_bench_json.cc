@@ -118,28 +118,39 @@ struct BenchRun
     int exitCode = -1;
 };
 
-/** Run bench_eval once and collect its BENCH_JSON lines. */
-BenchRun
-runBenchEval(const std::string &path, const std::string &args)
+/**
+ * Run a shell command; returns its stdout and sets *exitCode to the
+ * exit code for clean exits or -signal for signal-killed children,
+ * so assertions compare real exit codes.
+ */
+std::string
+runCommand(const std::string &cmd, int *exitCode)
 {
-    BenchRun run;
-    std::string cmd = "'" + path + "' " + args + " 2>/dev/null";
+    *exitCode = -1;
     FILE *pipe = popen(cmd.c_str(), "r");
     if (pipe == nullptr)
-        return run;
+        return {};
     char buf[4096];
     std::string text;
     while (std::fgets(buf, sizeof buf, pipe) != nullptr)
         text += buf;
     int status = pclose(pipe);
-    // Decode the wait status: exit code for clean exits, -signal for
-    // signal-killed children, so assertions compare real exit codes.
     if (WIFEXITED(status))
-        run.exitCode = WEXITSTATUS(status);
+        *exitCode = WEXITSTATUS(status);
     else if (WIFSIGNALED(status))
-        run.exitCode = -WTERMSIG(status);
+        *exitCode = -WTERMSIG(status);
     else
-        run.exitCode = -1000;
+        *exitCode = -1000;
+    return text;
+}
+
+/** Run bench_eval once and collect its BENCH_JSON lines. */
+BenchRun
+runBenchEval(const std::string &path, const std::string &args)
+{
+    BenchRun run;
+    const std::string text = runCommand(
+        "'" + path + "' " + args + " 2>/dev/null", &run.exitCode);
 
     size_t at = 0;
     const std::string prefix = "BENCH_JSON ";
@@ -491,5 +502,30 @@ TEST(BenchJsonSchema, SingleThreadRunSkipsMtVariantsAndExitsZero)
     EXPECT_EQ(engines["derivatives_mt"], 0);
     EXPECT_EQ(engines["em_fit"], 0);
     EXPECT_EQ(engines["serving_mt"], 0);
+#endif
+}
+
+TEST(BenchJsonSchema, BadCountsExitWithUsage)
+{
+#ifndef REASON_BENCH_EVAL_PATH
+    GTEST_SKIP() << "bench_eval path not provided by the build";
+#else
+    // Negative, garbage, overflowing, and out-of-range counts must be
+    // usage errors (exit 1), never a signal from an unchecked
+    // allocation size.
+    for (const char *args :
+         {"400 --repeats -5", "400 --repeats 5x", "400 0",
+          "1 10", "400 18446744073709551616", "400 10 --max-batch 0",
+          "400 10 --threads 1025"}) {
+        int exitCode = 0;
+        const std::string text = runCommand(
+            "'" + std::string(REASON_BENCH_EVAL_PATH) + "' " + args +
+                " 2>&1",
+            &exitCode);
+        EXPECT_EQ(exitCode, 1) << args;
+        EXPECT_NE(text.find("usage: bench_eval"), std::string::npos)
+            << args << ": " << text;
+        EXPECT_EQ(text.find("BENCH_JSON"), std::string::npos) << args;
+    }
 #endif
 }

@@ -111,8 +111,8 @@ TEST(EngineCircuit, CoalescedBitIdenticalToOneAtATime)
     for (unsigned max_batch : {2u, 7u, 16u, 64u}) {
         ServeOptions options;
         options.maxBatch = max_batch;
-        options.startPaused = true;
         ReasonEngine engine(options);
+        engine.pause();
         Session a = engine.createSession(circuit);
         Session b = engine.createSession(circuit);
         std::vector<RequestHandle> handles;
@@ -143,8 +143,8 @@ TEST(EngineCircuit, ServeThreadsNeverChangeResults)
         ServeOptions options;
         options.maxBatch = 16;
         options.serveThreads = threads;
-        options.startPaused = true;
         ReasonEngine engine(options);
+        engine.pause();
         Session session = engine.createSession(circuit);
         std::vector<RequestHandle> handles;
         for (const pc::Assignment &x : rows)
@@ -185,9 +185,8 @@ TEST(EngineCircuit, MarginalQueriesAndDegenerateStructures)
             testutil::randomPartialAssignments(rng, circuit, 9, 0.3);
         std::vector<double> reference = serveOneAtATime(circuit, rows);
 
-        ServeOptions options;
-        options.startPaused = true;
-        ReasonEngine engine(options);
+        ReasonEngine engine;
+        engine.pause();
         Session session = engine.createSession(circuit);
         std::vector<RequestHandle> handles;
         for (const pc::Assignment &x : rows)
@@ -218,9 +217,8 @@ TEST(EngineCircuit, DistinctCircuitsNeverShareBatches)
     std::vector<double> ref1 = serveOneAtATime(c1, r1);
     std::vector<double> ref2 = serveOneAtATime(c2, r2);
 
-    ServeOptions options;
-    options.startPaused = true;
-    ReasonEngine engine(options);
+    ReasonEngine engine;
+    engine.pause();
     Session s1 = engine.createSession(c1);
     Session s2 = engine.createSession(c2);
     std::vector<RequestHandle> h1, h2;
@@ -463,9 +461,8 @@ TEST(EngineErrors, ShutdownFailsQueuedRequests)
 
     std::vector<RequestHandle> handles;
     {
-        ServeOptions options;
-        options.startPaused = true; // requests stay queued
-        ReasonEngine engine(options);
+        ReasonEngine engine;
+        engine.pause(); // requests stay queued
         Session session = engine.createSession(circuit);
         for (const pc::Assignment &x : rows)
             handles.push_back(session.submit(x));
@@ -575,7 +572,7 @@ TEST(CompatShim, DistinctErrorCodes)
     EXPECT_EQ(rt.results().size(), 1u);
 }
 
-TEST(CompatShim, RuntimeOptionsServingKnobsAccepted)
+TEST(CompatShim, ServeOptionsReachTheEngine)
 {
     Rng rng(114);
     core::Dag dag = testutil::randomDag(rng, 3, 12, 3);
@@ -583,13 +580,26 @@ TEST(CompatShim, RuntimeOptionsServingKnobsAccepted)
     compiler::Program prog =
         compiler::compile(dag, cfg.compilerTarget());
 
-    RuntimeOptions options;
+    // Every field differs from its default, so a dropped field shows.
+    ServeOptions options;
     options.maxBatch = 8;
     options.maxCoalesceWindowUs = 50;
     options.serveThreads = 2;
+    options.dispatchers = 2;
+    options.queueCapacity = 16;
+    options.queuePolicy = QueuePolicy::ShedOldest;
+    options.autoLingerWindow = true;
+    options.pinThreads = true;
     ReasonRuntime rt(cfg, prog, options);
-    EXPECT_EQ(rt.engine().options().maxBatch, 8u);
-    EXPECT_EQ(rt.engine().options().maxCoalesceWindowUs, 50u);
+    const ServeOptions &got = rt.engine().options();
+    EXPECT_EQ(got.maxBatch, 8u);
+    EXPECT_EQ(got.maxCoalesceWindowUs, 50u);
+    EXPECT_EQ(got.serveThreads, 2u);
+    EXPECT_EQ(got.dispatchers, 2u);
+    EXPECT_EQ(got.queueCapacity, 16u);
+    EXPECT_EQ(got.queuePolicy, QueuePolicy::ShedOldest);
+    EXPECT_TRUE(got.autoLingerWindow);
+    EXPECT_TRUE(got.pinThreads);
 
     std::vector<double> neural = testutil::randomInputs(rng, 3);
     std::vector<double> symbolic(1, 0.0);

@@ -85,8 +85,8 @@ TEST(EngineMt, BitIdenticalAcrossDispatchersAndPolicies)
             options.maxBatch = 8;
             options.dispatchers = dispatchers;
             options.queuePolicy = policy;
-            options.startPaused = true;
             ReasonEngine engine(options);
+            engine.pause();
             std::vector<Session> sessions;
             for (size_t s = 0; s < kSessions; ++s)
                 sessions.push_back(engine.createSession(circuit));
@@ -129,8 +129,8 @@ TEST(EngineMt, RejectNewFailsOverflowWithOverloadError)
     options.dispatchers = 2;
     options.queueCapacity = capacity;
     options.queuePolicy = QueuePolicy::RejectNew;
-    options.startPaused = true;
     ReasonEngine engine(options);
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (const pc::Assignment &x : rows)
@@ -173,8 +173,8 @@ TEST(EngineMt, ShedOldestKeepsNewestAndBoundsDepth)
     options.dispatchers = 2;
     options.queueCapacity = capacity;
     options.queuePolicy = QueuePolicy::ShedOldest;
-    options.startPaused = true;
     ReasonEngine engine(options);
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (const pc::Assignment &x : rows)
@@ -217,8 +217,8 @@ TEST(EngineMt, LightSessionNotStarvedByFloodingSession)
     ServeOptions options;
     options.maxBatch = 4;
     options.dispatchers = 2;
-    options.startPaused = true;
     ReasonEngine engine(options);
+    engine.pause();
     Session flooder = engine.createSession(circuit);
     Session light = engine.createSession(circuit);
     std::vector<RequestHandle> flood_handles;
@@ -357,8 +357,8 @@ TEST(EngineMt, ApproxBitIdenticalAcrossDispatchersThreadsAndBatches)
                 options.maxBatch = max_batch;
                 options.serveThreads = serve_threads;
                 options.dispatchers = dispatchers;
-                options.startPaused = true;
                 ReasonEngine engine(options);
+                engine.pause();
                 std::vector<Session> sessions;
                 for (size_t s = 0; s < kSessions; ++s)
                     sessions.push_back(engine.createSession(circuit));

@@ -111,9 +111,8 @@ TEST(Deadlines, QueuedExpiryCompletesWithTypedError)
     std::vector<pc::Assignment> rows =
         pc::sampleDataset(rng, circuit, 9);
 
-    ServeOptions options;
-    options.startPaused = true;
-    ReasonEngine engine(options);
+    ReasonEngine engine;
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (const pc::Assignment &x : rows)
@@ -144,9 +143,8 @@ TEST(Deadlines, MixedExpirySparesTheDeadlineless)
         pc::sampleDataset(rng, circuit, 20);
     std::vector<double> reference = serveOneAtATime(circuit, rows);
 
-    ServeOptions options;
-    options.startPaused = true;
-    ReasonEngine engine(options);
+    ReasonEngine engine;
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (size_t i = 0; i < rows.size(); ++i)
@@ -184,9 +182,8 @@ TEST(Cancellation, QueuedRequestCancelsWithTypedError)
     std::vector<pc::Assignment> rows =
         pc::sampleDataset(rng, circuit, 4);
 
-    ServeOptions options;
-    options.startPaused = true;
-    ReasonEngine engine(options);
+    ReasonEngine engine;
+    engine.pause();
     Session session = engine.createSession(circuit);
     RequestHandle keep = session.submit(rows[0]);
     RequestHandle drop = session.submit(rows[1]);
@@ -235,9 +232,8 @@ TEST(Drain, FinishesQueuedWorkThenClosesAdmission)
         pc::sampleDataset(rng, circuit, 12);
     std::vector<double> reference = serveOneAtATime(circuit, rows);
 
-    ServeOptions options;
-    options.startPaused = true;
-    ReasonEngine engine(options);
+    ReasonEngine engine;
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (const pc::Assignment &x : rows)
@@ -269,9 +265,9 @@ TEST(Drain, ZeroDeadlineExpiresTheBacklog)
         pc::sampleDataset(rng, circuit, 32);
 
     ServeOptions options;
-    options.startPaused = true;
     options.maxBatch = 1;
     ReasonEngine engine(options);
+    engine.pause();
     Session session = engine.createSession(circuit);
     std::vector<RequestHandle> handles;
     for (const pc::Assignment &x : rows)

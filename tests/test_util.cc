@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and distribution
- * sanity, statistics containers, tables, and numeric helpers.
+ * sanity, statistics containers, tables, numeric helpers, and the
+ * strict count parser of the command-line tools.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/numeric.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -252,4 +256,56 @@ TEST(Numeric, NearlyEqual)
     EXPECT_TRUE(nearlyEqual(1.0, 1.0 + 1e-12));
     EXPECT_FALSE(nearlyEqual(1.0, 1.1));
     EXPECT_TRUE(nearlyEqual(0.0, 0.0));
+}
+
+TEST(ParseCount, RejectsMalformedText)
+{
+    uint64_t out = 77;
+    EXPECT_FALSE(util::parseCount("", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("abc", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("12x", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount(" 12", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("1.5", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("-5", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("-0", 0, 100, &out));
+    EXPECT_FALSE(util::parseCount("+5", 0, 100, &out));
+    EXPECT_EQ(out, 77u) << "a rejected parse must not write *out";
+}
+
+TEST(ParseCount, EnforcesBothBoundsInclusively)
+{
+    uint64_t out = 0;
+    ASSERT_TRUE(util::parseCount("2", 2, 20000, &out));
+    EXPECT_EQ(out, 2u);
+    ASSERT_TRUE(util::parseCount("20000", 2, 20000, &out));
+    EXPECT_EQ(out, 20000u);
+    ASSERT_TRUE(util::parseCount("007", 2, 20000, &out));
+    EXPECT_EQ(out, 7u);
+    EXPECT_FALSE(util::parseCount("1", 2, 20000, &out));
+    EXPECT_FALSE(util::parseCount("0", 2, 20000, &out));
+    EXPECT_FALSE(util::parseCount("20001", 2, 20000, &out));
+    // A single digit above a maximum below 9.
+    EXPECT_FALSE(util::parseCount("5", 0, 3, &out));
+    ASSERT_TRUE(util::parseCount("3", 0, 3, &out));
+    EXPECT_EQ(out, 3u);
+    // The thread-count range of the --threads arguments.
+    ASSERT_TRUE(util::parseCount("0", 0, util::kMaxThreads, &out));
+    EXPECT_EQ(out, 0u);
+    ASSERT_TRUE(util::parseCount("1024", 0, util::kMaxThreads, &out));
+    EXPECT_EQ(out, util::kMaxThreads);
+    EXPECT_FALSE(util::parseCount("1025", 0, util::kMaxThreads, &out));
+}
+
+TEST(ParseCount, RejectsOverflowPastMax)
+{
+    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    uint64_t out = 0;
+    ASSERT_TRUE(util::parseCount("18446744073709551615", 0, kMax, &out));
+    EXPECT_EQ(out, kMax);
+    EXPECT_FALSE(util::parseCount("18446744073709551616", 0, kMax, &out));
+    EXPECT_FALSE(
+        util::parseCount("99999999999999999999999", 0, kMax, &out));
+    // Values that would wrap an unsigned 32-bit count are rejected.
+    EXPECT_FALSE(util::parseCount("4294967296", 0, util::kMaxThreads,
+                                  &out));
 }

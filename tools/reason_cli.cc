@@ -148,12 +148,16 @@ namespace wire = reason::sys::wire;
 
 namespace {
 
+/** Upper bound of the global --shards count. */
+constexpr unsigned long long kMaxShards = 1ull << 30;
+
 int
 usage()
 {
     std::fprintf(
         stderr,
-        "usage: reason_cli [--threads N] [--shards N] <command> [args]\n"
+        "usage: reason_cli [--threads 0..%u] [--shards 0..%llu] "
+        "<command> [args]\n"
         "  solve <file.cnf> [--budget N] [--no-preprocess]\n"
         "  count <file.cnf> [--nnf out.nnf]\n"
         "  marginals <file.cnf> [--pc out.rpc]\n"
@@ -178,7 +182,8 @@ usage()
         "any thread count.\n"
         "--shards N sets the sample-shard count of learning reductions\n"
         "(EM flows, Baum-Welch; 0 = auto); results are identical for\n"
-        "any thread count.\n");
+        "any thread count.\n",
+        util::kMaxThreads, kMaxShards);
     return 2;
 }
 
@@ -200,31 +205,6 @@ cmdVersion()
         std::printf("note: scalar fallback build — results are "
                     "bit-identical to every SIMD backend\n");
     return 0;
-}
-
-/**
- * Parse a decimal count argument in [min_value, max_value]; returns
- * false (instead of throwing, like std::stoull) on garbage, overflow,
- * or out-of-range values so subcommands can fall back to usage().
- */
-bool
-parseCount(const std::string &text, uint64_t min_value,
-           uint64_t max_value, uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    uint64_t value = 0;
-    for (char ch : text) {
-        if (ch < '0' || ch > '9')
-            return false;
-        if (value > (max_value - (ch - '0')) / 10)
-            return false; // overflow past max_value
-        value = value * 10 + uint64_t(ch - '0');
-    }
-    if (value < min_value)
-        return false;
-    *out = value;
-    return true;
 }
 
 /**
@@ -388,8 +368,8 @@ parseCommandOptions(const char *command,
             }
             continue;
         }
-        if (!parseCount(value, match->minValue, match->maxValue,
-                        match->countOut)) {
+        if (!util::parseCount(value, match->minValue, match->maxValue,
+                              match->countOut)) {
             std::fprintf(stderr,
                          "reason_cli %s: bad value '%s' for '%s'\n",
                          command, value.c_str(), match->name);
@@ -1341,20 +1321,21 @@ main(int argc, char **argv)
     size_t at = 0;
     util::ReductionPolicy reductions = util::reductionPolicy();
     while (at < all.size() && all[at].rfind("--", 0) == 0) {
-        unsigned threads = 0;
+        uint64_t count = 0;
         if (all[at] == "--version") {
             return cmdVersion();
-        } else if (all[at] == "--threads" && at + 1 < all.size() &&
-            util::parseThreadCount(all[at + 1].c_str(), &threads)) {
-            util::setGlobalThreads(threads);
+        } else if (all[at] == "--threads" && at + 1 < all.size()) {
+            if (!util::parseCount(all[at + 1], 0, util::kMaxThreads,
+                                  &count))
+                return usage();
+            util::setGlobalThreads(unsigned(count));
             at += 2;
         } else if (all[at] == "--shards" && at + 1 < all.size()) {
             // Shard counts are clamped to the dataset size downstream,
             // so unlike --threads they are not bounded by kMaxThreads.
-            uint64_t shards = 0;
-            if (!parseCount(all[at + 1], 0, uint64_t(1) << 30, &shards))
+            if (!util::parseCount(all[at + 1], 0, kMaxShards, &count))
                 return usage();
-            reductions.shards = unsigned(shards);
+            reductions.shards = unsigned(count);
             at += 2;
         } else {
             return usage();
