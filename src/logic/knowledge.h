@@ -163,12 +163,26 @@ class DnnfGraph
 /**
  * Compile a CNF formula to decision-DNNF.
  *
- * Exhaustive DPLL: unit propagation at every node, connected-component
- * decomposition (And nodes), branching on the most-occurring variable
- * (Or decision nodes), with a cache keyed on the canonical residual
- * formula.  Exponential in the worst case — intended for the
- * rule-knowledge-base scale of the guardrail workloads (tens of
- * variables), not industrial SAT.
+ * Exhaustive DPLL: unit propagation at every node (always on the first
+ * unit clause in residual order), connected-component decomposition
+ * (And nodes, components in order of first appearance), branching on
+ * the most-occurring variable, lowest index on ties (Or decision nodes),
+ * with a cache keyed on the canonical residual formula (its clauses
+ * sorted; equal keys mean equal clause multisets).  A formula with an
+ * empty clause compiles to the False graph.  Exponential in the worst
+ * case — intended for the rule-knowledge-base scale of the guardrail
+ * workloads (tens of variables), not industrial SAT.
+ *
+ * Representation: a residual formula is a slice of one flat literal
+ * stack plus a clause-offset stack, rewritten in place by unit
+ * propagation; branches and components push their residuals above it
+ * and pop them on return.  Union-find and occurrence counts run over
+ * variable-indexed arrays, and the cache is an open-addressed table
+ * over keys held in one arena, so the recursion does not allocate per
+ * clause or per call.  The representation affects speed only: the
+ * graph (node for node, in emission order) and its DnnfStats are pinned
+ * for a fixed formula set by Compiler.GraphIdenticalToSeedCompiler in
+ * tests/test_knowledge.cc.
  */
 DnnfGraph compileToDnnf(const CnfFormula &formula);
 

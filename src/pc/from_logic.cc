@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -192,8 +193,8 @@ constexpr uint32_t kUnitFlat = kInvalidNode;
  * appends the flat nodes that node needs — indicator leaves, literal
  * weight sums, and smoothing marginals are hash-consed per variable —
  * keeping the emitted ids a pure function of the input sequence.
- * Scopes are tracked per input node to compute the smoothing gaps of
- * decision branches and of the root.
+ * Scopes are tracked per input node, in one arena, to compute the
+ * smoothing gaps of decision branches and of the root.
  */
 class WmcFlatBuilder
 {
@@ -225,7 +226,7 @@ class WmcFlatBuilder
             std::span<const NnfId> children)
     {
         (void)decision_var; // determinism is the producer's contract
-        std::vector<uint32_t> scope;
+        const size_t begin = scopeVars_.size();
         uint32_t id = kUnitFlat;
         switch (type) {
           case NnfType::True:
@@ -234,55 +235,45 @@ class WmcFlatBuilder
             id = falseNode();
             break;
           case NnfType::Lit:
-            scope.push_back(lit.var());
+            scopeVars_.push_back(lit.var());
             id = litNodeFor(lit);
             break;
           case NnfType::And: {
-            size_t total = 0;
-            std::vector<uint32_t> parts;
-            for (NnfId c : children) {
-                scope.insert(scope.end(), scope_[c].begin(),
-                             scope_[c].end());
-                total += scope_[c].size();
-                if (flatId_[c] != kUnitFlat)
-                    parts.push_back(flatId_[c]);
-            }
-            std::sort(scope.begin(), scope.end());
-            scope.erase(std::unique(scope.begin(), scope.end()),
-                        scope.end());
-            if (scope.size() != total) {
+            const size_t total = mergeScopes(children);
+            if (scopeVars_.size() - begin != total) {
+                scopeVars_.resize(begin);
                 error_ =
                     "And children must have pairwise disjoint scopes";
                 return false;
             }
-            if (parts.empty())
+            parts_.clear();
+            for (NnfId c : children)
+                if (flatId_[c] != kUnitFlat)
+                    parts_.push_back(flatId_[c]);
+            if (parts_.empty())
                 id = kUnitFlat;
-            else if (parts.size() == 1)
-                id = parts[0];
+            else if (parts_.size() == 1)
+                id = parts_[0];
             else
-                id = addProduct(parts);
+                id = addProduct(parts_);
             break;
           }
           case NnfType::Or: {
-            for (NnfId c : children)
-                scope.insert(scope.end(), scope_[c].begin(),
-                             scope_[c].end());
-            std::sort(scope.begin(), scope.end());
-            scope.erase(std::unique(scope.begin(), scope.end()),
-                        scope.end());
+            mergeScopes(children);
             // Each branch is padded out to the decision's scope, so by
             // determinism the branch counts add: unit edge weights.
-            std::vector<uint32_t> branch;
-            for (NnfId c : children)
-                branch.push_back(
-                    padded(flatId_[c], scopeGap(scope, scope_[c])));
-            std::vector<double> logw(branch.size(), 0.0);
-            id = addSum(branch, logw);
+            branch_.clear();
+            for (NnfId c : children) {
+                fillGap(begin, c);
+                branch_.push_back(padded(flatId_[c]));
+            }
+            zeros_.assign(branch_.size(), 0.0);
+            id = addSum(branch_, zeros_);
             break;
           }
         }
         flatId_.push_back(id);
-        scope_.push_back(std::move(scope));
+        scopeEnd_.push_back(scopeVars_.size());
         return true;
     }
 
@@ -292,25 +283,70 @@ class WmcFlatBuilder
     finish()
     {
         reasonAssert(!flatId_.empty(), "flat build with no nodes");
-        const size_t r = flatId_.size() - 1;
-        std::vector<uint32_t> all_gap;
-        {
-            const auto &rs = scope_[r];
-            size_t si = 0;
-            for (uint32_t v = 0; v < fc_.numVars; ++v) {
-                while (si < rs.size() && rs[si] < v)
-                    ++si;
-                if (si < rs.size() && rs[si] == v)
-                    continue;
-                all_gap.push_back(v);
-            }
+        const std::span<const uint32_t> rs = scope(flatId_.size() - 1);
+        gap_.clear();
+        size_t si = 0;
+        for (uint32_t v = 0; v < fc_.numVars; ++v) {
+            while (si < rs.size() && rs[si] < v)
+                ++si;
+            if (si < rs.size() && rs[si] == v)
+                continue;
+            gap_.push_back(v);
         }
-        fc_.root = padded(flatId_[r], all_gap);
+        fc_.root = padded(flatId_.back());
         fc_.finalizeTopology();
         return std::move(fc_);
     }
 
   private:
+    /** Scope of input node i: sorted variables at or below it. */
+    std::span<const uint32_t>
+    scope(size_t i) const
+    {
+        const size_t begin = i == 0 ? 0 : scopeEnd_[i - 1];
+        return {scopeVars_.data() + begin, scopeEnd_[i] - begin};
+    }
+
+    /**
+     * Append the sorted union of the children's scopes to scopeVars_ as
+     * the new node's scope; @return the children's total scope size
+     * (equal to the union's iff the scopes are disjoint).
+     */
+    size_t
+    mergeScopes(std::span<const NnfId> children)
+    {
+        size_t total = 0;
+        merged_.clear();
+        for (NnfId c : children) {
+            const std::span<const uint32_t> cs = scope(c);
+            total += cs.size();
+            mergeTmp_.clear();
+            std::set_union(merged_.begin(), merged_.end(), cs.begin(),
+                           cs.end(), std::back_inserter(mergeTmp_));
+            merged_.swap(mergeTmp_);
+        }
+        scopeVars_.insert(scopeVars_.end(), merged_.begin(), merged_.end());
+        return total;
+    }
+
+    /** gap_ = vars of the scope being built (from scopeVars_[begin])
+     *  missing from input node c's scope (both sorted). */
+    void
+    fillGap(size_t begin, NnfId c)
+    {
+        const std::span<const uint32_t> child = scope(c);
+        gap_.clear();
+        size_t ci = 0;
+        for (size_t i = begin; i < scopeVars_.size(); ++i) {
+            const uint32_t v = scopeVars_[i];
+            while (ci < child.size() && child[ci] < v)
+                ++ci;
+            if (ci < child.size() && child[ci] == v)
+                continue;
+            gap_.push_back(v);
+        }
+    }
+
     static double
     logOrZero(double w)
     {
@@ -422,27 +458,37 @@ class WmcFlatBuilder
     }
 
     /** Product of `base` (kUnitFlat allowed) with the marginals over
-     *  `gap`; collapses to the single part when there is only one. */
+     *  gap_; collapses to the single part when there is only one. */
     uint32_t
-    padded(uint32_t base, const std::vector<uint32_t> &gap)
+    padded(uint32_t base)
     {
-        std::vector<uint32_t> parts;
+        parts_.clear();
         if (base != kUnitFlat)
-            parts.push_back(base);
-        for (uint32_t v : gap)
-            parts.push_back(marginalNode(v));
-        if (parts.empty())
+            parts_.push_back(base);
+        for (uint32_t v : gap_)
+            parts_.push_back(marginalNode(v));
+        if (parts_.empty())
             return unitNode();
-        if (parts.size() == 1)
-            return parts[0];
-        return addProduct(parts);
+        if (parts_.size() == 1)
+            return parts_[0];
+        return addProduct(parts_);
     }
 
     const LitWeights &weights_;
     FlatCircuit fc_;
-    /** Per input node: flat id (kUnitFlat for True-valued) and scope. */
+    /** Per input node: flat id (kUnitFlat for True-valued) and the end
+     *  of its scope in the scopeVars_ arena. */
     std::vector<uint32_t> flatId_;
-    std::vector<std::vector<uint32_t>> scope_;
+    std::vector<size_t> scopeEnd_;
+    std::vector<uint32_t> scopeVars_;
+    /** Scratch reused across nodes: product parts, Or branches and
+     *  their (zero) log-weights, a smoothing gap, and scope unions. */
+    std::vector<uint32_t> parts_;
+    std::vector<uint32_t> branch_;
+    std::vector<double> zeros_;
+    std::vector<uint32_t> gap_;
+    std::vector<uint32_t> merged_;
+    std::vector<uint32_t> mergeTmp_;
     /** Hash-consing slots. */
     std::vector<uint32_t> indicator_;
     std::vector<uint32_t> litNode_;

@@ -9,13 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "run_command.h"
+
+using reason::testutil::runCommand;
 
 namespace {
 
@@ -117,32 +119,6 @@ struct BenchRun
     std::vector<JsonObject> lines;
     int exitCode = -1;
 };
-
-/**
- * Run a shell command; returns its stdout and sets *exitCode to the
- * exit code for clean exits or -signal for signal-killed children,
- * so assertions compare real exit codes.
- */
-std::string
-runCommand(const std::string &cmd, int *exitCode)
-{
-    *exitCode = -1;
-    FILE *pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr)
-        return {};
-    char buf[4096];
-    std::string text;
-    while (std::fgets(buf, sizeof buf, pipe) != nullptr)
-        text += buf;
-    int status = pclose(pipe);
-    if (WIFEXITED(status))
-        *exitCode = WEXITSTATUS(status);
-    else if (WIFSIGNALED(status))
-        *exitCode = -WTERMSIG(status);
-    else
-        *exitCode = -1000;
-    return text;
-}
 
 /** Run bench_eval once and collect its BENCH_JSON lines. */
 BenchRun

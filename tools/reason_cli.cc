@@ -11,8 +11,10 @@
  *       the same search.
  *
  *   count <file.cnf> [--nnf out.nnf]
- *       Exact model count via d-DNNF knowledge compilation; --nnf
- *       exports the compiled graph in the standard c2d format.
+ *       Exact model count via d-DNNF knowledge compilation, with the
+ *       graph size, the compile wall time and all five compiler
+ *       counters; --nnf exports the compiled graph in the standard c2d
+ *       format.
  *
  *   marginals <file.cnf> [--pc out.rpc]
  *       Compile the formula to a probabilistic circuit (uniform literal
@@ -526,14 +528,22 @@ cmdCount(const std::vector<std::string> &args)
       case ParseStatus::Ok: break;
     }
     logic::CnfFormula f = loadDimacs(args[0]);
+    const auto t0 = std::chrono::steady_clock::now();
     logic::DnnfGraph g = logic::compileToDnnf(f);
+    const double compile_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
     const auto &st = g.stats();
-    std::printf("d-DNNF: %zu nodes, %zu edges (%llu decisions, %llu "
-                "cache hits, %llu component splits)\n",
-                g.numNodes(), g.numEdges(),
+    std::printf("d-DNNF: %zu nodes, %zu edges, compiled in %.3f ms\n",
+                g.numNodes(), g.numEdges(), compile_ms);
+    std::printf("compiler: %llu decisions, %llu unit propagations, "
+                "%llu component splits, %llu cache hits, %llu cache "
+                "entries\n",
                 (unsigned long long)st.decisions,
+                (unsigned long long)st.unitPropagations,
+                (unsigned long long)st.componentSplits,
                 (unsigned long long)st.cacheHits,
-                (unsigned long long)st.componentSplits);
+                (unsigned long long)st.cacheEntries);
     std::printf("models: %.0f of 2^%u assignments\n", g.modelCount(),
                 f.numVars());
     if (!nnf_path.empty()) {
