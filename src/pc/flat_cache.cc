@@ -9,18 +9,22 @@ namespace pc {
 
 namespace {
 
-/** 64-bit FNV-1a running hash. */
-struct Fnv
+/**
+ * Word-wise 64-bit running hash: one xor, one multiply by the FNV
+ * prime, and one xor-shift per 64-bit word (FNV-1a mixes byte by byte,
+ * eight rounds per word).  Each step is a bijection of the state for a
+ * fixed word and of the word for a fixed state, so two streams that
+ * differ in exactly one word always hash differently.
+ */
+struct WordHash
 {
     uint64_t h = 1469598103934665603ull;
 
     void
     mix(uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
+        h = (h ^ v) * 0x100000001b3ull;
+        h ^= h >> 29;
     }
     void mix(uint32_t v) { mix(uint64_t(v)); }
     void mix(double v) { mix(std::bit_cast<uint64_t>(v)); }
@@ -49,7 +53,7 @@ fingerprint(const Circuit &c)
     id.nodes = c.numNodes();
     id.edges = c.numEdges();
     id.meta = (uint64_t(c.numVars()) << 32) | c.arity();
-    Fnv f;
+    WordHash f;
     f.mix(uint64_t(c.root()));
     for (size_t i = 0; i < c.numNodes(); ++i) {
         const PcNode &n = c.node(NodeId(i));
@@ -173,7 +177,7 @@ structuralFingerprint(const FlatCircuit &flat)
     // Only the canonical arrays participate: the schedules and the
     // parent transpose are derived from them (finalizeTopology), so
     // mixing them would add cost without discriminating power.
-    Fnv f;
+    WordHash f;
     f.mix(uint64_t(flat.numVars));
     f.mix(uint64_t(flat.arity));
     f.mix(uint64_t(flat.root));

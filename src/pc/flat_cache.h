@@ -9,7 +9,8 @@
  * to pay that O(nodes + edges + log() per weight) cost on every call.
  * The cache keys a lowering by *structural identity*: the object's
  * address plus a content fingerprint (node/edge counts and a 64-bit
- * FNV-1a hash over topology and parameters).  Address reuse and
+ * word-wise hash over topology and parameters, one multiply and one
+ * xor-shift per 64-bit word).  Address reuse and
  * in-place mutation (e.g. EM weight updates) change the fingerprint
  * and miss; hitting requires byte-equal structure, so a hit is always
  * safe to share.
@@ -42,7 +43,8 @@ inline constexpr size_t kFlatCacheCapacity = 16;
 std::shared_ptr<const FlatCircuit> cachedLowering(const Circuit &circuit);
 
 /**
- * 64-bit FNV-1a content fingerprint of an already-flat circuit:
+ * 64-bit content fingerprint (the cache's word-wise hash) of an
+ * already-flat circuit:
  * topology (types, CSR edges, root), parameters (edge log-weights,
  * leaf variables and log-distributions), and meta (vars/arity).
  * Structurally identical circuits hash equal regardless of how they

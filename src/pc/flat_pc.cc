@@ -389,6 +389,77 @@ CircuitEvaluator::evaluateBlock(const Assignment *const *rows, size_t n_out,
 namespace {
 
 /**
+ * Visit every node after all of its parents: the one traversal of the
+ * downward passes.  A 1-thread pool walks nodes in reverse id order
+ * (parents carry higher ids than their children — sequential,
+ * cache-friendly streams); a multi-worker pool walks the reverse level
+ * schedule, splitting each level across workers (every parent of a
+ * level-L node sits in a level > L, so nodes inside one level are
+ * independent).  `visit(node, worker)` must depend only on finalized
+ * parents; then both orders produce identical bits.
+ */
+template <typename Visit>
+inline void
+forEachNodeTopDown(const FlatCircuit &flat, util::ThreadPool &pool,
+                   Visit &&visit)
+{
+    if (pool.numThreads() == 1) {
+        for (size_t i = flat.numNodes(); i-- > 0;)
+            visit(uint32_t(i), 0u);
+        return;
+    }
+    for (size_t l = flat.numLevels(); l-- > 0;)
+        pool.parallelFor(flat.levelOffset[l], flat.levelOffset[l + 1],
+                         kMinWavefrontNodesPerChunk,
+                         [&](size_t b, size_t e, unsigned worker) {
+                             for (size_t k = b; k < e; ++k)
+                                 visit(flat.levelNodes[k], worker);
+                         });
+}
+
+/**
+ * Flow of node c, gathered from its finalized parents: the one flow
+ * kernel behind FlowAccumulator::add and nodeFlowsInto.  Each incoming
+ * edge's exp argument and scale (the parent's flow) are staged into
+ * `args`/`scale` in the stored descending-parent order; the masked SIMD
+ * kernel writes the per-edge flows into `f` (-inf encodes "no flow"
+ * and contributes an exact zero), and their fold, seeded with 1 at the
+ * root, is returned.  All three stripes hold maxParentFanIn entries.
+ */
+inline double
+gatherNodeFlow(const FlatCircuit &flat, const simd::KernelTable &kernels,
+               const double *val, const double *flow, uint32_t c,
+               double *args, double *scale, double *f)
+{
+    const uint8_t *types = flat.types.data();
+    const uint32_t lo = flat.parentOffset[c];
+    const uint32_t cnt = flat.parentOffset[c + 1] - lo;
+    const uint32_t *psrc = flat.parentNode.data() + lo;
+    const double *plw = flat.parentLogWeight.data() + lo;
+    const double child_val = val[c];
+    for (uint32_t j = 0; j < cnt; ++j) {
+        const uint32_t p = psrc[j];
+        const double fp = flow[p];
+        if (types[p] == FlatCircuit::kProduct) {
+            // exp(0) == 1 exactly, so the kernel passes fp through
+            // unchanged — the product-edge flow.
+            args[j] = fp == 0.0 ? kLogZero : 0.0;
+        } else if (fp == 0.0 || plw[j] == kLogZero ||
+                   child_val == kLogZero) {
+            args[j] = kLogZero; // masked: contributes exactly 0
+        } else {
+            args[j] = plw[j] + child_val - val[p];
+        }
+        scale[j] = fp;
+    }
+    kernels.expMulOrZero(args, scale, f, cnt);
+    double fn = c == flat.root ? 1.0 : 0.0;
+    for (uint32_t j = 0; j < cnt; ++j)
+        fn += f[j];
+    return fn;
+}
+
+/**
  * Per-product-node derivative quantities: count of zero-valued
  * children, the (last) zero child, and the finite log-sum of the
  * rest.  finiteSum folds the child values in CSR edge order — one
@@ -435,21 +506,19 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
     util::ThreadPool &active =
         pool ? *pool : util::globalThreadPool();
 
-    // Reverse wavefront gather — the canonical backward kernel for
-    // every thread count (a 1-thread pool runs it inline, so results
-    // are trivially bit-identical across thread counts).  Levels are
-    // walked top-down; each node gathers its incoming derivative terms
-    // from its finalized parents through the flattened transpose
-    // streams into a contiguous stripe (stored descending-parent
-    // order), then reduces them with the canonical two-pass SIMD
-    // logsumexp (-inf terms are exact identities).  One writer per
+    // Top-down gather (forEachNodeTopDown) — the canonical backward
+    // kernel for every thread count.  Each node gathers its incoming
+    // derivative terms from its finalized parents through the
+    // flattened transpose streams into a contiguous stripe (stored
+    // descending-parent order), then reduces them with the canonical
+    // two-pass SIMD logsumexp (-inf terms are exact identities).  One writer per
     // logd entry, no atomics.  When a node turns out to be a product
     // with nonzero derivative, its (zero count, finite sum) pair is
     // tabulated immediately — its children sit in strictly lower
     // levels, so the per-level barrier publishes the entry before any
     // reader, and zero-derivative products are never tabulated at all.
-    // The tables persist per calling thread: repeated marginal queries
-    // reuse them allocation-free once grown.
+    // The tables persist per calling thread: repeated calls reuse them
+    // allocation-free once grown.
     thread_local std::vector<double> prod_sum_tls;
     thread_local std::vector<uint8_t> prod_zeros_tls;
     thread_local std::vector<double> term_tls;
@@ -473,9 +542,8 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
     const double *plw = flat.parentLogWeight.data();
     double *d = logd.data();
     const simd::KernelTable &kernels = simd::activeKernels();
-    // Per-node kernel, shared by both traversals below: the result
-    // depends only on the (finalized) parents, not on traversal order.
-    auto gatherNode = [&](uint32_t c, double *terms) {
+    forEachNodeTopDown(flat, active, [&](uint32_t c, unsigned worker) {
+        double *terms = term_base + worker * stripe;
         size_t cnt = 0;
         if (c == flat.root)
             terms[cnt++] = 0.0; // dRoot/dRoot == 1
@@ -503,24 +571,40 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
             prod_sum[c] = info.finiteSum;
             prod_zeros[c] = uint8_t(std::min<uint32_t>(info.zeros, 2));
         }
-    };
-    if (active.numThreads() == 1) {
-        // Parents always carry higher ids than their children, so a
-        // reverse id scan finalizes every parent before its children —
-        // same kernel, cache-friendly sequential streams.
-        for (size_t i = n; i-- > 0;)
-            gatherNode(uint32_t(i), term_base);
+    });
+}
+
+void
+nodeFlowsInto(const FlatCircuit &flat, std::span<const double> logv,
+              std::vector<double> &flow, util::ThreadPool *pool)
+{
+    const size_t n = flat.numNodes();
+    reasonAssert(logv.size() == n, "log-value/graph size mismatch");
+    if (logv[flat.root] == kLogZero) {
+        flow.assign(n, 0.0); // zero-probability evidence carries no flow
         return;
     }
-    for (size_t l = flat.numLevels(); l-- > 0;)
-        active.parallelFor(
-            flat.levelOffset[l], flat.levelOffset[l + 1],
-            kMinWavefrontNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                double *terms = term_base + worker * stripe;
-                for (size_t k = b; k < e; ++k)
-                    gatherNode(flat.levelNodes[k], terms);
-            });
+    flow.resize(n); // every entry is written by the gather below
+
+    util::ThreadPool &active =
+        pool ? *pool : util::globalThreadPool();
+    // Per-worker (arg, scale, flow) stripes of the gather kernel,
+    // persisted per calling thread so repeated queries reuse them.
+    thread_local std::vector<double> scratch_tls;
+    const size_t stripe = std::max<uint32_t>(flat.maxParentFanIn, 1);
+    if (scratch_tls.size() < 3 * stripe * active.numThreads())
+        scratch_tls.resize(3 * stripe * active.numThreads());
+    // Raw views: a thread_local named inside a lambda would resolve to
+    // each *worker's* (empty) instance, not the caller's.
+    double *scratch = scratch_tls.data();
+    double *f = flow.data();
+    const double *val = logv.data();
+    const simd::KernelTable &kernels = simd::activeKernels();
+    forEachNodeTopDown(flat, active, [&](uint32_t c, unsigned worker) {
+        double *s = scratch + 3 * stripe * worker;
+        f[c] = gatherNodeFlow(flat, kernels, val, f, c, s, s + stripe,
+                              s + 2 * stripe);
+    });
 }
 
 FlowAccumulator::FlowAccumulator(const FlatCircuit &flat,
@@ -543,95 +627,44 @@ FlowAccumulator::add(const Assignment &x)
     const uint8_t *types = flat_.types.data();
     const uint32_t *slot = flat_.leafSlot.data();
     const uint32_t *var = flat_.leafVar.data();
+    const uint32_t *poff = flat_.parentOffset.data();
+    const uint32_t *pedge = flat_.parentEdge.data();
 
     util::ThreadPool &pool =
         pool_ ? *pool_ : util::globalThreadPool();
 
-    // Downward pass: walk levels top-down and *gather* each node's
-    // flow from its finalized parents through the transpose — the one
-    // canonical kernel for every thread count (a 1-thread pool runs
-    // the same code inline).  Parents of a level-L node all sit in
-    // levels > L, so inside one level every node is independent;
-    // flow_[c], edgeTotal_[e] (one child per edge), nodeTotal_[c], and
-    // leafTotal_ rows each have a single writer.  Per node, the edge
-    // arguments are staged into a contiguous stripe and the exp is
-    // computed by the masked SIMD kernel (-inf encodes "no flow" and
-    // contributes an exact zero); the fold over the resulting flows
-    // keeps the stored descending-parent order, so totals are
-    // bit-identical for any thread count and SIMD backend.
-    const uint32_t *poff = flat_.parentOffset.data();
-    const uint32_t *pedge = flat_.parentEdge.data();
-    const uint32_t *psrc = flat_.parentNode.data();
-    const double *plw = flat_.parentLogWeight.data();
+    // Downward pass: every node gathers its flow from its finalized
+    // parents with the shared flow kernel (gatherNodeFlow), then adds
+    // it and its per-edge flows into the totals.  flow_[c],
+    // edgeTotal_[e] (one child per edge), nodeTotal_[c], and leafTotal_
+    // rows each have a single writer, and the kernel depends only on
+    // the parents, so totals are bit-identical for any thread count and
+    // SIMD backend.
     double *flow = flow_.data();
     const double *valp = val.data();
     const size_t stripe = std::max<uint32_t>(flat_.maxParentFanIn, 1);
-    const unsigned workers = pool.numThreads();
-    if (argScratch_.size() < stripe * workers) {
-        argScratch_.resize(stripe * workers);
-        scaleScratch_.resize(stripe * workers);
-        flowScratch_.resize(stripe * workers);
-    }
+    if (scratch_.size() < 3 * stripe * pool.numThreads())
+        scratch_.resize(3 * stripe * pool.numThreads());
     const simd::KernelTable &kernels = simd::activeKernels();
-    // Per-node kernel, shared by both traversals below: the result
-    // depends only on the (finalized) parents, not on traversal order.
-    auto gatherNode = [&](uint32_t c, double *args, double *scale,
-                          double *f) {
+    forEachNodeTopDown(flat_, pool, [&](uint32_t c, unsigned worker) {
+        double *s = scratch_.data() + 3 * stripe * worker;
+        double *f = s + 2 * stripe;
+        const double fn =
+            gatherNodeFlow(flat_, kernels, valp, flow, c, s, s + stripe, f);
         const uint32_t lo = poff[c];
-        const uint32_t cnt = poff[c + 1] - lo;
-        const double child_val = valp[c];
-        for (uint32_t j = 0; j < cnt; ++j) {
-            const uint32_t p = psrc[lo + j];
-            const double fp = flow[p];
-            if (types[p] == FlatCircuit::kProduct) {
-                // exp(0) == 1 exactly, so the kernel passes fp
-                // through unchanged — the product-edge flow.
-                args[j] = fp == 0.0 ? kLogZero : 0.0;
-            } else if (fp == 0.0 || plw[lo + j] == kLogZero ||
-                       child_val == kLogZero) {
-                args[j] = kLogZero; // masked: contributes exactly 0
-            } else {
-                args[j] = plw[lo + j] + child_val - valp[p];
-            }
-            scale[j] = fp;
-        }
-        kernels.expMulOrZero(args, scale, f, cnt);
-        double fn = c == flat_.root ? 1.0 : 0.0;
-        for (uint32_t j = 0; j < cnt; ++j) {
+        for (uint32_t j = 0; j < poff[c + 1] - lo; ++j)
             edgeTotal_[pedge[lo + j]] += f[j];
-            fn += f[j];
-        }
         flow[c] = fn;
         if (fn == 0.0)
             return;
         nodeTotal_[c] += fn;
         if (types[c] == FlatCircuit::kLeaf) {
-            const uint32_t s = slot[c];
-            const uint32_t v = x[var[s]];
+            const uint32_t sl = slot[c];
+            const uint32_t v = x[var[sl]];
             if (v != kMissing)
-                leafTotal_[size_t(s) * flat_.arity + v] += fn;
+                leafTotal_[size_t(sl) * flat_.arity + v] += fn;
         }
-    };
-    if (pool.numThreads() == 1) {
-        // Parents always carry higher ids than their children, so a
-        // reverse id scan finalizes every parent before its children —
-        // same kernel, cache-friendly sequential streams.
-        for (size_t i = flat_.numNodes(); i-- > 0;)
-            gatherNode(uint32_t(i), argScratch_.data(),
-                       scaleScratch_.data(), flowScratch_.data());
-        return;
-    }
-    for (size_t l = flat_.numLevels(); l-- > 0;)
-        pool.parallelFor(
-            flat_.levelOffset[l], flat_.levelOffset[l + 1],
-            kMinNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                double *args = argScratch_.data() + worker * stripe;
-                double *scale = scaleScratch_.data() + worker * stripe;
-                double *f = flowScratch_.data() + worker * stripe;
-                for (size_t k = b; k < e; ++k)
-                    gatherNode(flat_.levelNodes[k], args, scale, f);
-            });
+    });
 }
 
 void

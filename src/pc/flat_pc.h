@@ -256,6 +256,24 @@ void logDerivativesInto(const FlatCircuit &flat,
                         std::vector<double> &logd,
                         util::ThreadPool *pool = nullptr);
 
+/**
+ * Linear-domain downward pass for one sample: writes the circuit flow
+ * flow(n) = dRoot/dv_n * v_n / v_root of every node into `flow`
+ * (resized to numNodes; all zeros when the root value is zero).
+ * `logv` must be the upward pass for the same assignment.
+ *
+ * This is FlowAccumulator::add's per-sample pass without the totals:
+ * the same per-node gather kernel over the same traversal, so its flows
+ * are bit-identical to a one-sample accumulator's nodeFlow() and for
+ * any thread count.  Product edges pass the parent's flow through and
+ * sum edges take one exp each; the pass needs no log, which makes it
+ * the cheaper backward pass whenever linear-domain flows suffice
+ * (posteriorMarginals).
+ */
+void nodeFlowsInto(const FlatCircuit &flat, std::span<const double> logv,
+                   std::vector<double> &flow,
+                   util::ThreadPool *pool = nullptr);
+
 struct DatasetFlows;
 struct FlowShardOptions;
 
@@ -265,15 +283,16 @@ struct FlowShardOptions;
  * per-sample EdgeFlows allocation pattern of accumulateFlows/emTrain.
  *
  * The downward pass is a transpose *gather* with one shared per-node
- * kernel: each node's incoming flow arguments are staged into a
- * contiguous buffer and the per-edge exp is computed by the masked
- * SIMD kernel (simd::expMulOrZero), then folded in descending parent
- * order.  A 1-thread pool walks nodes in reverse id order (parents
- * carry higher ids — sequential, cache-friendly); a multi-worker pool
- * walks the reverse level schedule.  Node flows, per-edge totals, and
- * leaf totals each have exactly one writer and the kernel depends
- * only on the finalized parents, so all totals are bit-identical for
- * any thread count (no atomics anywhere).
+ * kernel (also behind nodeFlowsInto): each node's incoming flow
+ * arguments are staged into a contiguous buffer and the per-edge exp
+ * is computed by the masked SIMD kernel (simd::expMulOrZero), then
+ * folded in descending parent order.  A 1-thread pool walks nodes in
+ * reverse id order (parents carry higher ids — sequential,
+ * cache-friendly); a multi-worker pool walks the reverse level
+ * schedule.  Node flows, per-edge totals, and leaf totals each have
+ * exactly one writer and the kernel depends only on the finalized
+ * parents, so all totals are bit-identical for any thread count (no
+ * atomics anywhere).
  *
  * **Thread-safety contract.**  One accumulator per caller; totals are
  * plain members.  Concurrent accumulation requires one accumulator per
@@ -311,9 +330,6 @@ class FlowAccumulator
     const std::vector<double> &leafValueFlow() const { return leafTotal_; }
 
   private:
-    static constexpr size_t kMinNodesPerChunk =
-        kMinWavefrontNodesPerChunk;
-
     /** Moves totals out of shard accumulators instead of copying. */
     friend DatasetFlows accumulateDatasetFlows(
         const FlatCircuit &, const std::vector<Assignment> &,
@@ -325,10 +341,8 @@ class FlowAccumulator
     CircuitEvaluator eval_;
     /** Per-sample downward flow scratch. */
     std::vector<double> flow_;
-    /** Per-worker (arg, scale, flow) stripes of the masked exp kernel. */
-    std::vector<double> argScratch_;
-    std::vector<double> scaleScratch_;
-    std::vector<double> flowScratch_;
+    /** Per-worker (arg, scale, flow) stripes of the flow kernel. */
+    std::vector<double> scratch_;
     std::vector<double> edgeTotal_;
     std::vector<double> nodeTotal_;
     std::vector<double> leafTotal_;

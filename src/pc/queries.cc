@@ -94,56 +94,46 @@ posteriorMarginals(const Circuit &circuit, const Assignment &evidence)
 {
     reasonAssert(evidence.size() == circuit.numVars(),
                  "evidence must cover all circuit variables");
-    // Flat path: the upward pass is shared between the evidence
-    // likelihood and the backward derivative pass (one pass instead of
-    // the two the reference walkers would make); the lowering itself is
-    // shared across calls through the flat cache.
+    // Validated up front: a variable without leaves is never checked by
+    // the upward pass, yet its evidence value indexes the table below.
+    const uint32_t arity = circuit.arity();
+    for (uint32_t v = 0; v < circuit.numVars(); ++v)
+        if (evidence[v] != kMissing && evidence[v] >= arity)
+            fatal("posteriorMarginals: evidence value %u of variable %u "
+                  "is out of range (arity %u)",
+                  evidence[v], v, arity);
+
+    // One upward pass and one linear-domain flow pass over the cached
+    // lowering.  An unobserved variable's leaves evaluate to 1, so its
+    // leaf flow dRoot/dv_leaf / v_root times dist[val] is that leaf's
+    // share of P(v = val | e), and summing over the leaves of v gives
+    // the marginal: no log-domain derivative and no logAdd per value.
     std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
     CircuitEvaluator eval(*flat);
     std::span<const double> logv = eval.evaluate(evidence);
-    double log_e = logv[flat->root];
-    if (log_e == kLogZero)
+    if (logv[flat->root] == kLogZero)
         fatal("posteriorMarginals: evidence has zero probability");
-
-    std::vector<double> logd;
-    logDerivativesInto(*flat, logv, logd);
+    // Reused per calling thread: a fresh numNodes buffer per query next
+    // to the evaluator's own costs more in page faults than the fold.
+    thread_local std::vector<double> flow;
+    nodeFlowsInto(*flat, logv, flow);
 
     MarginalTable table;
-    table.prob.assign(circuit.numVars(),
-                      std::vector<double>(circuit.arity(), 0.0));
-    std::vector<bool> observed(circuit.numVars(), false);
-    for (uint32_t v = 0; v < circuit.numVars(); ++v) {
-        if (evidence[v] != kMissing) {
-            observed[v] = true;
-            table.prob[v][evidence[v]] = 1.0;
-        }
-    }
-
-    // P(v = val, e) = sum over leaves of v of d_leaf * dist[val]; the
-    // leaf log-densities are pre-computed in the flat lowering.
-    std::vector<std::vector<double>> joint(
-        circuit.numVars(), std::vector<double>(circuit.arity(), kLogZero));
-    for (size_t i = 0; i < circuit.numNodes(); ++i) {
-        if (flat->types[i] != FlatCircuit::kLeaf)
+    table.prob.assign(circuit.numVars(), std::vector<double>(arity, 0.0));
+    for (uint32_t v = 0; v < circuit.numVars(); ++v)
+        if (evidence[v] != kMissing)
+            table.prob[v][evidence[v]] = 1.0; // observed: indicator row
+    for (size_t i = 0; i < flat->numNodes(); ++i) {
+        if (flat->types[i] != FlatCircuit::kLeaf || flow[i] == 0.0)
             continue;
         const uint32_t slot = flat->leafSlot[i];
         const uint32_t var = flat->leafVar[slot];
-        if (observed[var] || logd[i] == kLogZero)
+        if (evidence[var] != kMissing)
             continue;
-        for (uint32_t val = 0; val < circuit.arity(); ++val) {
-            double log_dist =
-                flat->leafLogDist[size_t(slot) * circuit.arity() + val];
-            if (log_dist == kLogZero)
-                continue;
-            joint[var][val] =
-                logAdd(joint[var][val], logd[i] + log_dist);
-        }
-    }
-    for (uint32_t v = 0; v < circuit.numVars(); ++v) {
-        if (observed[v])
-            continue;
-        for (uint32_t val = 0; val < circuit.arity(); ++val)
-            table.prob[v][val] = std::exp(joint[v][val] - log_e);
+        const double *log_dist = &flat->leafLogDist[size_t(slot) * arity];
+        double *row = table.prob[var].data();
+        for (uint32_t val = 0; val < arity; ++val)
+            row[val] += flow[i] * std::exp(log_dist[val]);
     }
     return table;
 }

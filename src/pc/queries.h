@@ -1,7 +1,7 @@
 /**
  * @file
  * Advanced probabilistic-circuit queries: conditionals, posterior
- * marginals via a log-space backward (derivative) pass, conditional
+ * marginals via a linear-domain flow pass, conditional
  * sampling, entropy, expectations, and pairwise mutual information.
  *
  * These are the query types the paper's probabilistic workloads issue
@@ -45,8 +45,11 @@ struct MarginalTable
 
 /**
  * All-variable posterior marginals with one upward evaluation and one
- * log-space backward (derivative) pass — O(edges) regardless of how many
- * marginals are read.  Observed variables get an indicator row.
+ * linear-domain flow pass (nodeFlowsInto) — O(edges) regardless of how
+ * many marginals are read: P(v = val | e) is the sum over the leaves of
+ * v of flow(leaf) * dist[val].  Observed variables get an indicator
+ * row.  fatal()s when an evidence value is neither kMissing nor below
+ * the arity, or when the evidence has zero probability.
  */
 MarginalTable posteriorMarginals(const Circuit &circuit,
                                  const Assignment &evidence);

@@ -2,13 +2,18 @@
  * @file
  * Unit tests for pc::cachedLowering's LRU cache: eviction at capacity,
  * same-bucket fingerprint conflicts (structurally distinct circuits at
- * one address), byte-equal circuits at distinct addresses, and
- * hit/miss/eviction counter correctness.
+ * one address), single-field changes that must miss, byte-equal
+ * circuits at distinct addresses, and hit/miss/eviction counter
+ * correctness.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "pc/flat_cache.h"
@@ -147,5 +152,71 @@ TEST(FlatCacheIdentity, SameBucketDistinctStructureNeverShares)
     EXPECT_EQ(flat_a->numNodes(), flat_b->numNodes());
     stats = pc::flatCacheStats();
     EXPECT_EQ(stats.misses, 4u);
+    pc::clearFlatCache();
+}
+
+TEST(FlatCache, MissesOnSingleFieldChange)
+{
+    // Two mixture components over three variables: one sum, two
+    // products, four leaves.  Every change below rewrites exactly one
+    // hashed field and keeps every count, so only the hash can tell
+    // the changed circuit from the cached one.
+    pc::Circuit c(3, 2);
+    pc::NodeId a0 = c.addLeaf(0, {0.3, 0.7});
+    pc::NodeId a1 = c.addLeaf(1, {0.6, 0.4});
+    pc::NodeId a2 = c.addLeaf(2, {0.5, 0.5});
+    pc::NodeId b0 = c.addLeaf(0, {0.8, 0.2});
+    pc::NodeId pa = c.addProduct({a0, a1, a2});
+    pc::NodeId pb = c.addProduct({b0, a1, a2});
+    pc::NodeId root = c.addSum({pa, pb}, {0.25, 0.75});
+    c.markRoot(root);
+
+    struct Change
+    {
+        std::string name;
+        pc::NodeId node;
+        std::function<void(pc::PcNode &)> apply;
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<Change> changes = {
+        {"sum weight + 1 ulp", root,
+         [&](pc::PcNode &n) {
+             n.weights[0] = std::nextafter(n.weights[0], inf);
+         }},
+        {"sum weight sign bit", root,
+         [](pc::PcNode &n) { n.weights[1] = -n.weights[1]; }},
+        {"sum weight exponent bits", root,
+         [](pc::PcNode &n) { n.weights[0] *= 2.0; }},
+        {"leaf dist entry", a1,
+         [](pc::PcNode &n) {
+             n.dist[1] = std::nextafter(n.dist[1], 0.0);
+         }},
+        {"leaf var", b0, [](pc::PcNode &n) { n.var = 2; }},
+        {"product child id", pa,
+         [&](pc::PcNode &n) { n.children[0] = b0; }},
+    };
+
+    for (const Change &change : changes) {
+        SCOPED_TRACE(change.name);
+        pc::clearFlatCache();
+        auto before = pc::cachedLowering(c);
+        ASSERT_EQ(pc::cachedLowering(c).get(), before.get());
+        const pc::PcNode saved = c.node(change.node);
+        change.apply(c.mutableNode(change.node));
+        const size_t nodes = c.numNodes(), edges = c.numEdges();
+
+        auto after = pc::cachedLowering(c);
+        EXPECT_NE(after.get(), before.get());
+        pc::FlatCacheStats stats = pc::flatCacheStats();
+        EXPECT_EQ(stats.hits, 1u);
+        EXPECT_EQ(stats.misses, 2u);
+        EXPECT_EQ(after->numNodes(), nodes);
+        EXPECT_EQ(after->numEdges(), edges);
+        // The flat fingerprint shares the mixer and must move too.
+        EXPECT_NE(pc::structuralFingerprint(*after),
+                  pc::structuralFingerprint(*before));
+
+        c.mutableNode(change.node) = saved;
+    }
     pc::clearFlatCache();
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for thread-parallel wavefront execution and the lowering cache:
  * every parallel path (pc::CircuitEvaluator single/batch,
- * pc::FlowAccumulator upward+downward, the reverse-wavefront
+ * pc::FlowAccumulator upward+downward, the one-sample nodeFlowsInto,
+ * posteriorMarginals on the global pool, the reverse-wavefront
  * logDerivativesInto, sharded dataset flows, sharded EM, and sharded
  * Baum-Welch) must be *bit-identical* to
  * the serial flat path across thread counts {1, 2, 4, 8}, and
@@ -21,6 +22,7 @@
 #include "pc/flat_pc.h"
 #include "pc/learn.h"
 #include "pc/pc.h"
+#include "pc/queries.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -227,6 +229,78 @@ TEST(ParallelFlowAccumulator, ZeroProbabilityBranchesMatchSerial)
         EXPECT_TRUE(
             bitIdentical(acc.leafValueFlow(), ref.leafValueFlow()));
     }
+}
+
+TEST(ParallelNodeFlows, MatchOneSampleAccumulatorAcrossThreadCounts)
+{
+    Rng rng(37);
+    pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
+    pc::FlatCircuit flat(c);
+    ASSERT_GE(maxLevelWidth(flat), 2 * pc::kMinWavefrontNodesPerChunk)
+        << "circuit too small: flow gather would never split";
+    auto xs = randomAssignments(rng, c, 6, 0.4);
+
+    util::ThreadPool serial(1);
+    pc::CircuitEvaluator eval(flat, &serial);
+    std::vector<double> got;
+    for (const auto &x : xs) {
+        // A one-sample accumulator's node totals are that sample's
+        // flows (0 + f == f), computed by the same gather kernel.
+        pc::FlowAccumulator acc(flat, &serial);
+        acc.add(x);
+        std::span<const double> logv = eval.evaluate(x);
+        for (unsigned threads : kThreadCounts) {
+            util::ThreadPool pool(threads);
+            pc::nodeFlowsInto(flat, logv, got, &pool);
+            EXPECT_TRUE(bitIdentical(got, acc.nodeFlow()))
+                << "threads=" << threads;
+        }
+    }
+}
+
+TEST(ParallelNodeFlows, ZeroProbabilityEvidenceHasNoFlow)
+{
+    pc::Circuit c(2, 2);
+    pc::NodeId a0 = c.addLeaf(0, {1.0, 0.0});
+    pc::NodeId a1 = c.addLeaf(1, {0.25, 0.75});
+    c.markRoot(c.addProduct({a0, a1}));
+    pc::FlatCircuit flat(c);
+    util::ThreadPool serial(1);
+    pc::CircuitEvaluator eval(flat, &serial);
+    std::vector<double> flow(7, 1.0); // stale contents must not survive
+    pc::nodeFlowsInto(flat, eval.evaluate({1, 0}), flow, &serial);
+    EXPECT_EQ(flow, std::vector<double>(flat.numNodes(), 0.0));
+    pc::nodeFlowsInto(flat, eval.evaluate({0, pc::kMissing}), flow,
+                      &serial);
+    EXPECT_EQ(flow, (std::vector<double>{1.0, 1.0, 1.0}));
+}
+
+TEST(ParallelMarginals, BitIdenticalAcrossGlobalPools)
+{
+    Rng rng(43);
+    pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
+    ASSERT_GE(maxLevelWidth(*pc::cachedLowering(c)),
+              2 * pc::kMinWavefrontNodesPerChunk)
+        << "circuit too small: marginal passes would never split";
+    auto evidence = randomAssignments(rng, c, 4, 0.5);
+
+    // posteriorMarginals reaches the pool through the global knob.
+    std::vector<pc::MarginalTable> want;
+    for (unsigned threads : kThreadCounts) {
+        util::setGlobalThreads(threads);
+        for (size_t i = 0; i < evidence.size(); ++i) {
+            pc::MarginalTable t = pc::posteriorMarginals(c, evidence[i]);
+            if (threads == 1) {
+                want.push_back(std::move(t));
+                continue;
+            }
+            for (uint32_t v = 0; v < c.numVars(); ++v)
+                ASSERT_TRUE(bitIdentical(t.prob[v], want[i].prob[v]))
+                    << "threads=" << threads << " evidence " << i
+                    << " var " << v;
+        }
+    }
+    util::setGlobalThreads(0); // restore the default pool
 }
 
 TEST(ParallelDerivatives, BitIdenticalAcrossThreadCounts)

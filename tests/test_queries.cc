@@ -1,19 +1,25 @@
 /**
  * @file
  * Tests for advanced probabilistic-circuit queries: conditionals,
- * posterior marginals (log-space backward pass) against brute-force
- * enumeration, conditional sampling frequencies, entropy, expectations,
+ * posterior marginals (linear-domain flow pass) against brute-force
+ * enumeration and against the log-space derivative route, conditional sampling frequencies, entropy, expectations,
  * and mutual information, over random circuit sweeps.
  */
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "logic/cnf.h"
+#include "logic/knowledge.h"
+#include "pc/flat_pc.h"
+#include "pc/from_logic.h"
 #include "pc/pc.h"
 #include "pc/queries.h"
 #include "util/numeric.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace reason;
@@ -60,6 +66,63 @@ bruteMarginal(const Circuit &c, const Assignment &evidence, uint32_t var,
             num += p;
     }
     return num / den;
+}
+
+/**
+ * Posterior marginals by the log-derivative route: one
+ * logDerivativesInto pass, then P(v = val, e) as the logAdd over the
+ * leaves of v of logd(leaf) + log dist[val], divided by P(e).  The
+ * reference posteriorMarginals is checked against.
+ */
+MarginalTable
+logDerivativeMarginals(const Circuit &c, const Assignment &evidence)
+{
+    FlatCircuit flat(c);
+    util::ThreadPool serial(1);
+    CircuitEvaluator eval(flat, &serial);
+    std::span<const double> logv = eval.evaluate(evidence);
+    const double log_e = logv[flat.root];
+    std::vector<double> logd;
+    logDerivativesInto(flat, logv, logd, &serial);
+
+    const uint32_t arity = c.arity();
+    std::vector<std::vector<double>> joint(
+        c.numVars(), std::vector<double>(arity, kLogZero));
+    for (size_t i = 0; i < flat.numNodes(); ++i) {
+        if (flat.types[i] != FlatCircuit::kLeaf)
+            continue;
+        const uint32_t slot = flat.leafSlot[i];
+        const uint32_t var = flat.leafVar[slot];
+        for (uint32_t val = 0; val < arity; ++val)
+            joint[var][val] =
+                logAdd(joint[var][val],
+                       logd[i] + flat.leafLogDist[slot * arity + val]);
+    }
+    MarginalTable table;
+    table.prob.assign(c.numVars(), std::vector<double>(arity, 0.0));
+    for (uint32_t v = 0; v < c.numVars(); ++v) {
+        for (uint32_t val = 0; val < arity; ++val) {
+            if (evidence[v] != kMissing)
+                table.prob[v][val] = val == evidence[v] ? 1.0 : 0.0;
+            else
+                table.prob[v][val] = std::exp(joint[v][val] - log_e);
+        }
+    }
+    return table;
+}
+
+/** Every entry of two marginal tables within `tol`. */
+void
+expectTablesNear(const MarginalTable &got, const MarginalTable &want,
+                 double tol)
+{
+    ASSERT_EQ(got.prob.size(), want.prob.size());
+    for (size_t v = 0; v < want.prob.size(); ++v) {
+        ASSERT_EQ(got.prob[v].size(), want.prob[v].size());
+        for (size_t val = 0; val < want.prob[v].size(); ++val)
+            EXPECT_NEAR(got.prob[v][val], want.prob[v][val], tol)
+                << "var " << v << " val " << val;
+    }
 }
 
 } // namespace
@@ -160,6 +223,75 @@ INSTANTIATE_TEST_SUITE_P(
                       QuerySweepParam{8, 2, 3}, QuerySweepParam{5, 3, 4},
                       QuerySweepParam{6, 3, 5}, QuerySweepParam{4, 4, 6},
                       QuerySweepParam{9, 2, 7}, QuerySweepParam{7, 3, 8}));
+
+TEST(Queries, PosteriorMarginalsMatchLogDerivativeRoute)
+{
+    for (uint32_t arity = 2; arity <= 4; ++arity) {
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE("arity " + std::to_string(arity) + " seed " +
+                         std::to_string(seed));
+            Rng rng(seed * 17 + arity);
+            Circuit c = randomCircuit(rng, 24, arity, 3, 4);
+            for (double missing : {1.0, 0.6, 0.2}) {
+                Assignment evidence(c.numVars(), kMissing);
+                for (uint32_t v = 0; v < c.numVars(); ++v)
+                    if (!rng.bernoulli(missing))
+                        evidence[v] =
+                            uint32_t(rng.uniformInt(0, arity - 1));
+                expectTablesNear(posteriorMarginals(c, evidence),
+                                 logDerivativeMarginals(c, evidence),
+                                 1e-12);
+            }
+        }
+    }
+}
+
+TEST(Queries, PosteriorMarginalsMatchLogDerivativeRouteOnDnnf)
+{
+    // A compiled knowledge base: its indicator leaves carry exact zero
+    // entries (log-zero in the lowering), and every sample is a model.
+    Rng rng(23);
+    logic::CnfFormula rules = logic::plantedKSat(rng, 10, 24, 3);
+    logic::LitWeights prior = logic::LitWeights::random(rng, 10);
+    Circuit c = fromDnnf(logic::compileToDnnf(rules), prior);
+    std::vector<Assignment> worlds = sampleDataset(rng, c, 6);
+    for (Assignment &evidence : worlds) {
+        for (uint32_t v = 0; v < c.numVars(); ++v)
+            if (rng.bernoulli(0.6))
+                evidence[v] = kMissing;
+        MarginalTable table = posteriorMarginals(c, evidence);
+        expectTablesNear(table, logDerivativeMarginals(c, evidence),
+                         1e-12);
+        for (uint32_t v = 0; v < c.numVars(); ++v)
+            EXPECT_NEAR(table.prob[v][0] + table.prob[v][1], 1.0, 1e-12)
+                << "var " << v;
+    }
+}
+
+TEST(Queries, PosteriorMarginalsRejectOutOfRangeEvidence)
+{
+    // Variable 2 has no leaf: the upward pass never reads its value, so
+    // only the up-front check stands between it and the table row.
+    // Earlier tests started the global pool's workers; fork safely.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Circuit c(3, 2);
+    NodeId l0 = c.addLeaf(0, {0.3, 0.7});
+    NodeId l1 = c.addLeaf(1, {0.6, 0.4});
+    c.markRoot(c.addProduct({l0, l1}));
+
+    Assignment evidence{kMissing, kMissing, 1};
+    MarginalTable table = posteriorMarginals(c, evidence);
+    EXPECT_EQ(table.prob[2], (std::vector<double>{0.0, 1.0}));
+    EXPECT_NEAR(table.prob[0][1], 0.7, 1e-15);
+
+    evidence[2] = 2;
+    EXPECT_DEATH(posteriorMarginals(c, evidence),
+                 "value 2 of variable 2 is out of range");
+    evidence[2] = kMissing;
+    evidence[0] = 5;
+    EXPECT_DEATH(posteriorMarginals(c, evidence),
+                 "value 5 of variable 0 is out of range");
+}
 
 TEST(Queries, LogDerivativesSumToValueTimesCount)
 {
