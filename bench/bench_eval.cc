@@ -49,7 +49,6 @@
 #include "logic/knowledge.h"
 #include "logic/nnf_io.h"
 #include "pc/approx.h"
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "pc/from_logic.h"
 #include "pc/learn.h"
@@ -138,6 +137,33 @@ bitsDiffer(double x, double y)
     std::memcpy(&bx, &x, sizeof bx);
     std::memcpy(&by, &y, sizeof by);
     return bx != by;
+}
+
+/** Exact bit comparison of two vectors (doubles by bit pattern). */
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/**
+ * Bitwise equality of the canonical arrays of two flat circuits; the
+ * schedules and parent transpose are derived from these.
+ */
+bool
+sameCanonicalArrays(const pc::FlatCircuit &a, const pc::FlatCircuit &b)
+{
+    return a.numVars == b.numVars && a.arity == b.arity &&
+           a.root == b.root && sameBits(a.types, b.types) &&
+           sameBits(a.edgeOffset, b.edgeOffset) &&
+           sameBits(a.edgeTarget, b.edgeTarget) &&
+           sameBits(a.edgeLogWeight, b.edgeLogWeight) &&
+           sameBits(a.leafVar, b.leafVar) &&
+           sameBits(a.leafSlot, b.leafSlot) &&
+           sameBits(a.leafLogDist, b.leafLogDist);
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,9 +1228,7 @@ main(int argc, char **argv)
             t0 = Clock::now();
             bool ok = pc::streamNnfToFlat(in, w, &streamed, &err);
             stream_ms += msSince(t0);
-            if (!ok ||
-                pc::structuralFingerprint(streamed) !=
-                    pc::structuralFingerprint(direct) ||
+            if (!ok || !sameCanonicalArrays(streamed, direct) ||
                 std::bit_cast<uint64_t>(pc::flatLogWmc(streamed)) !=
                     std::bit_cast<uint64_t>(flat_log))
                 ++stream_mismatches;
@@ -1486,8 +1510,7 @@ main(int argc, char **argv)
             sopts.serveThreads = 1;
             sopts.dispatchers = 2;
             sys::ReasonEngine engine(sopts);
-            sys::SocketServer server(engine,
-                                     pc::cachedLowering(fcircuit),
+            sys::SocketServer server(engine, fcircuit.lowered(),
                                      sys::ServerOptions{});
             std::string err;
             if (!server.start(&err)) {

@@ -116,29 +116,19 @@ Accelerator::run(const compiler::Program &program,
         regfile[size_t(p.bank) * stride + p.reg] = inputs[p.inputTag];
     }
     if (!preloaded && !program.inputs.empty()) {
-        uint64_t words = program.inputs.size();
-        if (config_.dramModelEnabled) {
-            // Program-session preload through the DRAM timing model:
-            // the session coalesces the input words (laid out by input
-            // tag in scratchpad DRAM) into same-row burst trains, so
-            // sequential tag ranges become row hits striped across
-            // channels.
-            DramModel dram(config_);
-            DmaSession session(dram, 8);
-            for (const auto &p : program.inputs)
-                session.requestWord(uint64_t(p.inputTag) * 8);
-            input_ready_cycle = session.complete(0);
-            dram.exportStats(res.events);
-            res.events.inc("dma_session_words", session.wordsRequested());
-            res.events.inc("dma_session_runs", session.runsIssued());
-        } else {
-            // Legacy flat model: fixed latency plus a wide DMA moving
-            // `numBanks` words per cycle from the scratchpad.
-            input_ready_cycle =
-                config_.dmaLatencyCycles +
-                ceilDiv<uint64_t>(words, config_.numBanks);
-        }
-        res.events.inc("dma_bytes", words * 8);
+        // Program-session preload through the DRAM timing model: the
+        // session coalesces the input words (laid out by input tag in
+        // scratchpad DRAM) into same-row burst trains, so sequential
+        // tag ranges become row hits striped across channels.
+        DramModel dram(config_);
+        DmaSession session(dram, 8);
+        for (const auto &p : program.inputs)
+            session.requestWord(uint64_t(p.inputTag) * 8);
+        input_ready_cycle = session.complete(0);
+        dram.exportStats(res.events);
+        res.events.inc("dma_session_words", session.wordsRequested());
+        res.events.inc("dma_session_runs", session.runsIssued());
+        res.events.inc("dma_bytes", program.inputs.size() * 8);
         res.dmaStallCycles = input_ready_cycle;
     }
 

@@ -32,16 +32,16 @@ struct ArchConfig
     // Memory system.
     uint32_t sramBytes = 1280 * 1024; ///< 1.25 MB local SRAM
     uint32_t sramBanks = 16;
-    uint32_t dmaLatencyCycles = 24;  ///< L2/DRAM fetch latency (legacy mode)
+    /// Fixed L2/DRAM fetch latency: a DmaEngine with no DRAM model
+    /// attached, and the analytic BCP miss estimate.
+    uint32_t dmaLatencyCycles = 24;
     double dramBandwidthGBps = 104.0;
-    // DRAM timing model (arch/dram.h).  When enabled, DMA consumers
-    // issue address-carrying requests into a cycle-driven LPDDR5-class
-    // model (bank state machines, row-buffer tracking, FR-FCFS per
-    // channel); when disabled they fall back to the fixed
-    // dmaLatencyCycles plus a bandwidth term.  Timing defaults are
-    // controller cycles at the 500 MHz clock (2 ns each), so e.g.
-    // tRCD = 9 cycles = 18 ns.  Geometry fields must be powers of two.
-    bool dramModelEnabled = true;
+    // DRAM timing model (arch/dram.h).  DMA consumers issue
+    // address-carrying requests into a cycle-driven LPDDR5-class model
+    // (bank state machines, row-buffer tracking, FR-FCFS per channel).
+    // Timing defaults are controller cycles at the 500 MHz clock (2 ns
+    // each), so e.g. tRCD = 9 cycles = 18 ns.  Geometry fields must be
+    // powers of two.
     uint32_t dramChannels = 8;
     uint32_t dramRanksPerChannel = 1;
     uint32_t dramBanksPerRank = 8;
@@ -90,7 +90,8 @@ struct ArchConfig
     /**
      * DRAM interface bytes per controller cycle, derived from the
      * configured peak bandwidth and clock (104 GB/s at 0.5 GHz = 208).
-     * Used by the legacy fixed-latency DMA path as its bandwidth term.
+     * Used by a detached DmaEngine's fixed-latency path as its
+     * bandwidth term.
      */
     uint32_t dmaBytesPerCycle() const
     {

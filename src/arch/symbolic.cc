@@ -43,10 +43,8 @@ BcpPipeline::BcpPipeline(const CnfFormula &formula,
             watched_.push_back({Lit(), Lit()});
         }
     }
-    if (config_.dramModelEnabled) {
-        dram_.reset(new DramModel(config_));
-        dma_.attachDram(dram_.get());
-    }
+    dram_.reset(new DramModel(config_));
+    dma_.attachDram(dram_.get());
 }
 
 BcpPipeline::~BcpPipeline() = default;

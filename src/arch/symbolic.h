@@ -81,7 +81,7 @@ class BcpPipeline
     const BcpFifo &fifo() const { return fifo_; }
     const ClauseSram &sram() const { return sram_; }
     const WatchListUnit &watchUnit() const { return wl_; }
-    /** DRAM timing model behind clause misses; null in legacy mode. */
+    /** DRAM timing model behind clause misses. */
     const DramModel *dram() const { return dram_.get(); }
     uint64_t totalCycles() const { return now_; }
 
@@ -105,7 +105,7 @@ class BcpPipeline
     WatchListUnit wl_;
     ClauseSram sram_;
     BcpFifo fifo_;
-    std::unique_ptr<DramModel> dram_; ///< when config_.dramModelEnabled
+    std::unique_ptr<DramModel> dram_;
     DmaEngine dma_;
     std::vector<logic::LBool> assigns_;
     std::vector<logic::Lit> trail_;

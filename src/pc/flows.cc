@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -63,7 +62,7 @@ accumulateFlows(const Circuit &circuit,
     // Hot path: one cached flat lowering, then shard-parallel
     // allocation-free passes across samples (computeFlows stays as the
     // one-shot reference walker).
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
+    std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
     DatasetFlows acc = accumulateDatasetFlows(*flat, data);
 
     EdgeFlows total;

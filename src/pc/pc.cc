@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -18,6 +17,45 @@ Circuit::Circuit(uint32_t num_vars, uint32_t arity)
 {
     reasonAssert(num_vars > 0 && arity >= 2,
                  "circuit needs >=1 variable of arity >=2");
+}
+
+Circuit::Circuit(const Circuit &other)
+    : numVars_(other.numVars_), arity_(other.arity_),
+      nodes_(other.nodes_), root_(other.root_)
+{
+    std::lock_guard<std::mutex> lock(other.loweredMutex_);
+    lowered_ = other.lowered_;
+}
+
+Circuit::Circuit(Circuit &&other) noexcept
+    : numVars_(other.numVars_), arity_(other.arity_),
+      nodes_(std::move(other.nodes_)), root_(other.root_),
+      lowered_(std::move(other.lowered_))
+{
+    other.root_ = kInvalidNode;
+}
+
+Circuit &
+Circuit::operator=(const Circuit &other)
+{
+    if (this != &other)
+        *this = Circuit(other);
+    return *this;
+}
+
+Circuit &
+Circuit::operator=(Circuit &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    numVars_ = other.numVars_;
+    arity_ = other.arity_;
+    nodes_ = std::move(other.nodes_);
+    root_ = other.root_;
+    lowered_ = std::move(other.lowered_);
+    other.nodes_.clear();
+    other.root_ = kInvalidNode;
+    return *this;
 }
 
 size_t
@@ -47,6 +85,7 @@ Circuit::addLeaf(uint32_t var, std::vector<double> dist)
     n.var = var;
     n.dist = std::move(dist);
     nodes_.push_back(std::move(n));
+    lowered_.reset();
     root_ = static_cast<NodeId>(nodes_.size() - 1);
     return root_;
 }
@@ -61,6 +100,7 @@ Circuit::addProduct(std::vector<NodeId> children)
     n.type = PcNodeType::Product;
     n.children = std::move(children);
     nodes_.push_back(std::move(n));
+    lowered_.reset();
     root_ = static_cast<NodeId>(nodes_.size() - 1);
     return root_;
 }
@@ -86,6 +126,7 @@ Circuit::addSum(std::vector<NodeId> children, std::vector<double> weights)
     n.children = std::move(children);
     n.weights = std::move(weights);
     nodes_.push_back(std::move(n));
+    lowered_.reset();
     root_ = static_cast<NodeId>(nodes_.size() - 1);
     return root_;
 }
@@ -95,6 +136,37 @@ Circuit::markRoot(NodeId id)
 {
     reasonAssert(id < nodes_.size(), "root must exist");
     root_ = id;
+    lowered_.reset();
+}
+
+void
+Circuit::setSumWeights(NodeId id, std::span<const double> weights)
+{
+    PcNode &n = nodes_.at(id);
+    reasonAssert(n.type == PcNodeType::Sum, "setSumWeights needs a sum node");
+    reasonAssert(weights.size() == n.weights.size(),
+                 "sum weights must align with children");
+    std::copy(weights.begin(), weights.end(), n.weights.begin());
+    lowered_.reset();
+}
+
+void
+Circuit::setLeafDist(NodeId id, std::span<const double> dist)
+{
+    PcNode &n = nodes_.at(id);
+    reasonAssert(n.type == PcNodeType::Leaf, "setLeafDist needs a leaf");
+    reasonAssert(dist.size() == arity_, "leaf distribution arity mismatch");
+    std::copy(dist.begin(), dist.end(), n.dist.begin());
+    lowered_.reset();
+}
+
+std::shared_ptr<const FlatCircuit>
+Circuit::lowered() const
+{
+    std::lock_guard<std::mutex> lock(loweredMutex_);
+    if (!lowered_)
+        lowered_ = std::make_shared<const FlatCircuit>(*this);
+    return lowered_;
 }
 
 std::vector<double>
@@ -240,7 +312,7 @@ Circuit::bruteForceLogZ() const
     reasonAssert(checkedIntPow(arity_, numVars_, uint64_t(1) << 22,
                                &limit),
                  "brute force partition too large");
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(*this);
+    std::shared_ptr<const FlatCircuit> flat = lowered();
     CircuitEvaluator eval(*flat);
     Assignment x(numVars_, 0);
     double acc = kLogZero;

@@ -15,6 +15,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,8 @@ namespace reason {
 class Rng;
 
 namespace pc {
+
+class FlatCircuit;
 
 /** Node identifier inside a circuit. */
 using NodeId = uint32_t;
@@ -57,11 +62,22 @@ using Assignment = std::vector<uint32_t>;
  * `arity` values each.  Nodes are stored in topological order (children
  * before parents); the last node added with markRoot (or the final node)
  * is the root.
+ *
+ * The circuit memoizes its flat lowering (lowered()).  Every mutator
+ * drops the memo, and nodes are only reachable read-only, so a memo is
+ * never stale.  A copy shares the source's memo until either side
+ * mutates; assignment takes the source's memo; a moved-from circuit
+ * has none.
  */
 class Circuit
 {
   public:
     Circuit(uint32_t num_vars, uint32_t arity);
+
+    Circuit(const Circuit &other);
+    Circuit(Circuit &&other) noexcept;
+    Circuit &operator=(const Circuit &other);
+    Circuit &operator=(Circuit &&other) noexcept;
 
     uint32_t numVars() const { return numVars_; }
     uint32_t arity() const { return arity_; }
@@ -70,7 +86,6 @@ class Circuit
     NodeId root() const { return root_; }
 
     const PcNode &node(NodeId id) const { return nodes_.at(id); }
-    PcNode &mutableNode(NodeId id) { return nodes_.at(id); }
 
     /** Add a categorical leaf over `var`; dist is normalized in place. */
     NodeId addLeaf(uint32_t var, std::vector<double> dist);
@@ -84,6 +99,28 @@ class Circuit
 
     /** Declare the root node. */
     void markRoot(NodeId id);
+
+    /**
+     * Overwrite a sum node's weights in place (size must match its
+     * children).  Not renormalized: callers such as EM's M-step pass
+     * already-normalized weights and must keep them bit-exact.
+     */
+    void setSumWeights(NodeId id, std::span<const double> weights);
+
+    /**
+     * Overwrite a leaf's distribution in place (size must equal the
+     * arity).  Not renormalized, like setSumWeights.
+     */
+    void setLeafDist(NodeId id, std::span<const double> dist);
+
+    /**
+     * Flat lowering of the circuit (pc/flat_pc.h), built on the first
+     * call and shared by every later call until a mutator runs.
+     * Thread-safe: concurrent callers on one const circuit lower once
+     * and get one pointer.  A returned lowering stays valid and
+     * unchanged after the circuit mutates or dies.
+     */
+    std::shared_ptr<const FlatCircuit> lowered() const;
 
     /**
      * Log-likelihood of an assignment.  Variables set to kMissing are
@@ -130,6 +167,9 @@ class Circuit
     uint32_t arity_;
     std::vector<PcNode> nodes_;
     NodeId root_ = kInvalidNode;
+    /** Guards lowered_; held while a lowering is built. */
+    mutable std::mutex loweredMutex_;
+    mutable std::shared_ptr<const FlatCircuit> lowered_;
 };
 
 /**

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -103,12 +102,13 @@ posteriorMarginals(const Circuit &circuit, const Assignment &evidence)
                   "is out of range (arity %u)",
                   evidence[v], v, arity);
 
-    // One upward pass and one linear-domain flow pass over the cached
-    // lowering.  An unobserved variable's leaves evaluate to 1, so its
-    // leaf flow dRoot/dv_leaf / v_root times dist[val] is that leaf's
-    // share of P(v = val | e), and summing over the leaves of v gives
-    // the marginal: no log-domain derivative and no logAdd per value.
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
+    // One upward pass and one linear-domain flow pass over the
+    // circuit's memoized lowering.  An unobserved variable's leaves
+    // evaluate to 1, so its leaf flow dRoot/dv_leaf / v_root times
+    // dist[val] is that leaf's share of P(v = val | e), and summing
+    // over the leaves of v gives the marginal: no log-domain derivative
+    // and no logAdd per value.
+    std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
     CircuitEvaluator eval(*flat);
     std::span<const double> logv = eval.evaluate(evidence);
     if (logv[flat->root] == kLogZero)
@@ -123,18 +123,25 @@ posteriorMarginals(const Circuit &circuit, const Assignment &evidence)
     for (uint32_t v = 0; v < circuit.numVars(); ++v)
         if (evidence[v] != kMissing)
             table.prob[v][evidence[v]] = 1.0; // observed: indicator row
+    std::vector<char> has_leaf(circuit.numVars(), 0);
     for (size_t i = 0; i < flat->numNodes(); ++i) {
-        if (flat->types[i] != FlatCircuit::kLeaf || flow[i] == 0.0)
+        if (flat->types[i] != FlatCircuit::kLeaf)
             continue;
         const uint32_t slot = flat->leafSlot[i];
         const uint32_t var = flat->leafVar[slot];
-        if (evidence[var] != kMissing)
+        has_leaf[var] = 1;
+        if (flow[i] == 0.0 || evidence[var] != kMissing)
             continue;
         const double *log_dist = &flat->leafLogDist[size_t(slot) * arity];
         double *row = table.prob[var].data();
         for (uint32_t val = 0; val < arity; ++val)
             row[val] += flow[i] * std::exp(log_dist[val]);
     }
+    // No leaf mentions v: the circuit is constant in v, so its
+    // posterior is uniform.
+    for (uint32_t v = 0; v < circuit.numVars(); ++v)
+        if (evidence[v] == kMissing && !has_leaf[v])
+            table.prob[v].assign(arity, 1.0 / arity);
     return table;
 }
 
@@ -204,7 +211,7 @@ exactEntropy(const Circuit &circuit)
     reasonAssert(checkedIntPow(circuit.arity(), circuit.numVars(),
                                uint64_t(1) << 22, &combos),
                  "exactEntropy: state space too large to enumerate");
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
+    std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
     CircuitEvaluator eval(*flat);
     Assignment x(circuit.numVars(), 0);
     double entropy = 0.0;
@@ -227,7 +234,7 @@ sampledEntropy(Rng &rng, const Circuit &circuit, size_t samples)
 {
     reasonAssert(samples > 0, "need at least one sample");
     auto data = sampleDataset(rng, circuit, samples);
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
+    std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
     CircuitEvaluator eval(*flat);
     std::vector<double> ll(data.size());
     eval.logLikelihoodBatch(data, ll);
@@ -262,7 +269,7 @@ pairwiseMarginal(const Circuit &circuit, uint32_t a, uint32_t b)
                  "pairwiseMarginal needs two distinct variables");
     std::vector<std::vector<double>> joint(
         circuit.arity(), std::vector<double>(circuit.arity(), 0.0));
-    std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
+    std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
     CircuitEvaluator eval(*flat);
     Assignment x(circuit.numVars(), kMissing);
     for (uint32_t i = 0; i < circuit.arity(); ++i) {

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "pc/flat_cache.h"
 #include "pc/pc.h"
 #include "sys/fault.h"
 #include "util/logging.h"
@@ -207,7 +206,7 @@ Session
 ReasonEngine::createSession(const pc::Circuit &circuit)
 {
     auto state = std::make_shared<SessionState>();
-    state->lowering = pc::cachedLowering(circuit);
+    state->lowering = circuit.lowered();
     return Session(this, std::move(state));
 }
 

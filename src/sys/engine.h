@@ -6,10 +6,10 @@
  * An engine owns a sharded submission queue (sys::RequestQueue) and N
  * dispatcher threads, each with a private evaluator cache and
  * util::ThreadPool evaluation pool.  Clients open *sessions* and
- * submit requests; dispatchers drain per-fingerprint shards — circuit
- * sessions are keyed by their structural lowering fingerprint
- * (pc::cachedLowering), so independent sessions over structurally
- * identical circuits share batches — and execute each coalesced group
+ * submit requests; dispatchers drain per-key shards — circuit
+ * sessions are keyed by their lowering pointer (Circuit::lowered()),
+ * so sessions over the same Circuit object or its copies share
+ * batches — and execute each coalesced group
  * as one blocked SoA evaluation on pc::CircuitEvaluator.  The queue
  * provides bounded admission with overload shedding, per-session
  * fairness, and optional linger autotuning (see request_queue.h, which
@@ -240,10 +240,10 @@ class ReasonEngine
 
     /**
      * Open a serving session over a probabilistic circuit.  The
-     * lowering is obtained through pc::cachedLowering, so sessions
-     * over structurally identical circuits share one lowering — and
-     * therefore one coalescing key.  The circuit itself is not
-     * retained and may be destroyed after the call.
+     * lowering is the circuit's memoized Circuit::lowered(), so
+     * sessions over the same Circuit object or its copies share one
+     * lowering — and therefore one coalescing key.  The circuit itself
+     * is not retained and may be destroyed after the call.
      */
     Session createSession(const pc::Circuit &circuit);
 

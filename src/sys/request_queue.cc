@@ -468,7 +468,7 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         // Release the shard for concurrent pops; exclusive shards stay
         // held until complete() so stateful program execution is
         // serialized.  Re-readying goes behind other ready shards —
-        // that is the cross-fingerprint fairness.  (`shard` stayed
+        // that is the cross-key fairness.  (`shard` stayed
         // valid across the linger waits: map references survive
         // rehashes, and only the inService holder may erase a shard —
         // but `sit` may not have, so re-find before erasing.)

@@ -6,18 +6,18 @@
  * turns independent queued requests into one batched evaluation.
  *
  * The queue is the synchronization hub of the engine.  Requests are
- * sharded by their coalescing key (circuit lowering fingerprint +
+ * sharded by their coalescing key (circuit lowering pointer +
  * reasoning mode), each shard holds one FIFO lane per submitting
  * session, and any number of dispatcher threads pop coalesced groups:
  *
- *  - **Per-fingerprint shards.**  A popped group always comes from one
+ *  - **Per-key shards.**  A popped group always comes from one
  *    shard, so a batch never mixes lowerings or modes.  Ready shards
  *    are served oldest-first, and a shard with remaining work is
- *    re-readied behind the others, so no fingerprint monopolizes the
+ *    re-readied behind the others, so no key monopolizes the
  *    dispatchers.
  *  - **Session-fair lanes.**  Within a shard the gather round-robins
  *    across session lanes, so a tenant flooding one session cannot
- *    starve light tenants sharing the fingerprint: every lane
+ *    starve light tenants sharing the key: every lane
  *    contributes to every batch it has work for.
  *  - **Bounded admission.**  With a nonzero capacity the queue holds at
  *    most `capacity` pending requests.  Overload either rejects the new
@@ -244,8 +244,8 @@ struct Request
     /**
      * Coalescing and sharding key: requests with the same key (and
      * mode) may share one batched evaluation and live in one dispatch
-     * shard.  Circuit sessions use the cached lowering pointer
-     * (structural fingerprint identity via pc::cachedLowering);
+     * shard.  Circuit sessions use the lowering pointer
+     * (Circuit::lowered(): the same Circuit object or its copies);
      * program sessions use their private session state, so Listing-1
      * batches never coalesce across sessions.
      */

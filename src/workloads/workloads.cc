@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "logic/solver.h"
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -359,7 +358,7 @@ pcClassificationAccuracy(const std::vector<pc::Circuit> &class_circuits,
     std::vector<std::vector<double>> ll(
         class_circuits.size(), std::vector<double>(queries.size()));
     for (uint32_t c = 0; c < class_circuits.size(); ++c) {
-        auto flat = pc::cachedLowering(class_circuits[c]);
+        auto flat = class_circuits[c].lowered();
         pc::CircuitEvaluator eval(*flat);
         eval.logLikelihoodBatch(queries, ll[c]);
     }

@@ -84,11 +84,11 @@ randomTestCircuit(Rng &rng)
             break;
           case 3: { // all-zero-weight sum (mutated past normalization)
             std::vector<pc::NodeId> children = pick_children(1, 3);
+            const std::vector<double> zeros(children.size(), 0.0);
             std::vector<double> weights(children.size(), 1.0);
             pc::NodeId id =
                 c.addSum(std::move(children), std::move(weights));
-            for (double &w : c.mutableNode(id).weights)
-                w = 0.0;
+            c.setSumWeights(id, zeros);
             pool.push_back(id);
             break;
           }

@@ -15,8 +15,8 @@
  *   4. brute force:        assignment enumeration (<= 20 vars)
  *
  * Agreement is bitwise or within 1e-10 relative.  The same corpus
- * checks evidence queries against conditionalMarginal, fingerprint
- * stability across routes (pc/flat_cache interop), and end-to-end
+ * checks evidence queries against conditionalMarginal, array identity
+ * across routes (including Circuit::lowered()), and end-to-end
  * serving of compiled knowledge bases through ReasonEngine sessions
  * across coalescing shapes.  Committed `.nnf` fixtures — including a
  * generated >100k-node file — exercise the streaming loader against
@@ -35,10 +35,10 @@
 #include <string>
 #include <vector>
 
+#include "flat_test_util.h"
 #include "logic/cnf.h"
 #include "logic/knowledge.h"
 #include "logic/nnf_io.h"
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "pc/from_logic.h"
 #include "sys/engine.h"
@@ -57,6 +57,7 @@ using logic::LitWeights;
 using logic::NnfError;
 using logic::plantedKSat;
 using sys::REASON_OK;
+using testutil::expectSameArrays;
 
 /** Bitwise equality or 1e-10 relative agreement. */
 bool
@@ -161,28 +162,6 @@ buildCorpus(Rng &rng)
     return corpus;
 }
 
-/** Assert the streamed load is byte-identical to the direct lowering. */
-void
-expectSameArrays(const FlatCircuit &a, const FlatCircuit &b)
-{
-    ASSERT_EQ(a.numVars, b.numVars);
-    ASSERT_EQ(a.arity, b.arity);
-    ASSERT_EQ(a.root, b.root);
-    ASSERT_EQ(a.types, b.types);
-    ASSERT_EQ(a.edgeOffset, b.edgeOffset);
-    ASSERT_EQ(a.edgeTarget, b.edgeTarget);
-    ASSERT_EQ(a.leafSlot, b.leafSlot);
-    ASSERT_EQ(a.leafVar, b.leafVar);
-    ASSERT_EQ(a.edgeLogWeight.size(), b.edgeLogWeight.size());
-    for (size_t i = 0; i < a.edgeLogWeight.size(); ++i)
-        ASSERT_TRUE(bitEqual(a.edgeLogWeight[i], b.edgeLogWeight[i]))
-            << "edge " << i;
-    ASSERT_EQ(a.leafLogDist.size(), b.leafLogDist.size());
-    for (size_t i = 0; i < a.leafLogDist.size(); ++i)
-        ASSERT_TRUE(bitEqual(a.leafLogDist[i], b.leafLogDist[i]))
-            << "slot " << i;
-}
-
 TEST(CompileFlat, FourRouteDifferential)
 {
     Rng rng(0xd1ff);
@@ -259,10 +238,9 @@ TEST(CompileFlat, EvidenceQueriesMatchConditionalMarginal)
     }
 }
 
-TEST(CompileFlat, FingerprintStableAcrossRoutes)
+TEST(CompileFlat, SameArraysAcrossRoutes)
 {
     Rng rng(0xf19);
-    std::vector<uint64_t> prints;
     for (int trial = 0; trial < 12; ++trial) {
         uint32_t vars = uint32_t(rng.uniformInt(3, 10));
         CnfFormula f = plantedKSat(rng, vars, vars * 2, 3);
@@ -277,29 +255,22 @@ TEST(CompileFlat, FingerprintStableAcrossRoutes)
         ASSERT_TRUE(streamNnfToFlat(in, w, &streamed, &err))
             << err.message;
 
-        uint64_t fp = structuralFingerprint(direct);
-        EXPECT_EQ(fp, structuralFingerprint(again));
-        EXPECT_EQ(fp, structuralFingerprint(streamed));
-        prints.push_back(fp);
+        expectSameArrays(direct, again);
+        expectSameArrays(direct, streamed);
     }
-    // Distinct formulas should not collide (12 draws, 64-bit space).
-    std::sort(prints.begin(), prints.end());
-    EXPECT_EQ(std::unique(prints.begin(), prints.end()), prints.end());
 }
 
-TEST(CompileFlat, FlatCacheInterop)
+TEST(CompileFlat, MemoizedLoweringMatchesDirect)
 {
-    // The heap-Circuit route must fingerprint identically whether
-    // lowered directly or served from the process-wide lowering cache.
+    // The heap-Circuit route must produce the same arrays whether
+    // lowered directly or served from the circuit's memoized lowering.
     Rng rng(0xcace);
     for (int trial = 0; trial < 8; ++trial) {
         uint32_t vars = uint32_t(rng.uniformInt(3, 9));
         CnfFormula f = plantedKSat(rng, vars, vars * 2, 3);
         Circuit c = compileCnf(f);
-        uint64_t direct = structuralFingerprint(FlatCircuit(c));
-        uint64_t cached = structuralFingerprint(*cachedLowering(c));
-        EXPECT_EQ(direct, cached);
-        EXPECT_EQ(cached, structuralFingerprint(*cachedLowering(c)));
+        expectSameArrays(FlatCircuit(c), *c.lowered());
+        EXPECT_EQ(c.lowered().get(), c.lowered().get());
     }
 }
 
@@ -393,7 +364,7 @@ TEST(CompileFlat, StreamsHundredThousandNodeFixture)
     // The streaming loader's reason to exist: a file larger than any
     // in-memory Dag the tests otherwise build.  Parse it twice and
     // check node count, WMC agreement with the Dag route, and
-    // fingerprint identity across repeated loads.
+    // array identity across repeated loads.
     std::string text = readFixture("big_xnor_chain.nnf");
     LitWeights w = LitWeights::uniform(20);
 
@@ -413,8 +384,7 @@ TEST(CompileFlat, StreamsHundredThousandNodeFixture)
     std::istringstream in2(text);
     FlatCircuit second;
     ASSERT_TRUE(streamNnfToFlat(in2, w, &second, &err));
-    EXPECT_EQ(structuralFingerprint(first),
-              structuralFingerprint(second));
+    expectSameArrays(first, second);
 }
 
 #endif // REASON_NNF_FIXTURE_DIR

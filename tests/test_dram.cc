@@ -333,20 +333,9 @@ TEST(BcpPipeline, ClauseMissesGoThroughDram)
     starved.sramBytes = 64; // force misses
     BcpPipeline pipe(f, starved);
     ASSERT_NE(pipe.dram(), nullptr);
-    BcpResult r = pipe.decide(logic::Lit::make(0, false));
+    pipe.decide(logic::Lit::make(0, false));
     EXPECT_GT(pipe.events().get("dma_fetches"), 0u);
     EXPECT_GT(pipe.dram()->bursts(), 0u);
-
-    // Legacy mode: no model, identical functional behavior.
-    ArchConfig legacy = starved;
-    legacy.dramModelEnabled = false;
-    BcpPipeline pipe2(f, legacy);
-    EXPECT_EQ(pipe2.dram(), nullptr);
-    BcpResult r2 = pipe2.decide(logic::Lit::make(0, false));
-    ASSERT_EQ(r2.implications.size(), r.implications.size());
-    for (size_t i = 0; i < r.implications.size(); ++i)
-        EXPECT_EQ(r2.implications[i], r.implications[i]);
-    EXPECT_EQ(r2.conflict, r.conflict);
 }
 
 TEST(AcceleratorDram, PreloadGoesThroughSession)
@@ -368,17 +357,6 @@ TEST(AcceleratorDram, PreloadGoesThroughSession)
     EXPECT_EQ(pre.events.get("dram_bursts"), 0u);
     EXPECT_EQ(pre.dmaStallCycles, 0u);
     EXPECT_DOUBLE_EQ(pre.rootValue, r.rootValue);
-
-    // Legacy mode reproduces the flat preload formula.
-    ArchConfig legacy = cfg;
-    legacy.dramModelEnabled = false;
-    Accelerator laccel(legacy);
-    ExecutionResult lr = laccel.run(p, inputs);
-    uint64_t words = p.inputs.size();
-    uint64_t expect = legacy.dmaLatencyCycles +
-                      (words + legacy.numBanks - 1) / legacy.numBanks;
-    EXPECT_EQ(lr.dmaStallCycles, expect);
-    EXPECT_DOUBLE_EQ(lr.rootValue, r.rootValue);
 }
 
 TEST(AcceleratorDram, PreloadDeterministic)

@@ -25,7 +25,6 @@
 
 #include "compiler/compile.h"
 #include "dag_test_util.h"
-#include "pc/flat_cache.h"
 #include "random_circuit.h"
 #include "sys/engine.h"
 #include "sys/reason_api.h"

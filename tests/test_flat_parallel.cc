@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for thread-parallel wavefront execution and the lowering cache:
- * every parallel path (pc::CircuitEvaluator single/batch,
- * pc::FlowAccumulator upward+downward, the one-sample nodeFlowsInto,
+ * Tests for thread-parallel wavefront execution: every parallel path
+ * (pc::CircuitEvaluator single/batch, pc::FlowAccumulator
+ * upward+downward, the one-sample nodeFlowsInto,
  * posteriorMarginals on the global pool, the reverse-wavefront
  * logDerivativesInto, sharded dataset flows, sharded EM, and sharded
  * Baum-Welch) must be *bit-identical* to
- * the serial flat path across thread counts {1, 2, 4, 8}, and
- * cachedLowering must hit on unchanged structures and miss on mutation.
+ * the serial flat path across thread counts {1, 2, 4, 8}.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "hmm/hmm.h"
-#include "pc/flat_cache.h"
 #include "pc/flat_pc.h"
 #include "pc/learn.h"
 #include "pc/pc.h"
@@ -279,7 +277,7 @@ TEST(ParallelMarginals, BitIdenticalAcrossGlobalPools)
 {
     Rng rng(43);
     pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
-    ASSERT_GE(maxLevelWidth(*pc::cachedLowering(c)),
+    ASSERT_GE(maxLevelWidth(*c.lowered()),
               2 * pc::kMinWavefrontNodesPerChunk)
         << "circuit too small: marginal passes would never split";
     auto evidence = randomAssignments(rng, c, 4, 0.5);
@@ -559,41 +557,4 @@ TEST(FlatCircuitSchedule, LevelsAndTransposeAreConsistent)
     }
     for (size_t e = 0; e < flat.numEdges(); ++e)
         EXPECT_EQ(edge_seen[e], 1) << "edge " << e;
-}
-
-TEST(FlatCache, HitsOnUnchangedCircuitAndMissesOnMutation)
-{
-    pc::clearFlatCache();
-    Rng rng(41);
-    pc::Circuit c = pc::randomCircuit(rng, 12, 2, 2, 3);
-
-    auto first = pc::cachedLowering(c);
-    auto second = pc::cachedLowering(c);
-    EXPECT_EQ(first.get(), second.get());
-    auto stats = pc::flatCacheStats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-
-    // Parameter mutation (what EM does every iteration) must miss.
-    for (pc::NodeId id = 0; id < c.numNodes(); ++id) {
-        if (c.node(id).type == pc::PcNodeType::Leaf) {
-            auto &dist = c.mutableNode(id).dist;
-            std::swap(dist[0], dist[1]);
-            break;
-        }
-    }
-    auto third = pc::cachedLowering(c);
-    EXPECT_NE(third.get(), first.get());
-    stats = pc::flatCacheStats();
-    EXPECT_EQ(stats.misses, 2u);
-
-    // The fresh lowering reflects the mutation.
-    util::ThreadPool serial(1);
-    pc::CircuitEvaluator eval(*third, &serial);
-    pc::Assignment x(c.numVars(), pc::kMissing);
-    x[0] = 0;
-    EXPECT_NEAR(eval.logLikelihood(x), c.logLikelihood(x), 1e-12);
-
-    // The original lowering lives on through its shared_ptr.
-    EXPECT_EQ(first->numNodes(), c.numNodes());
 }

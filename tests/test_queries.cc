@@ -293,6 +293,25 @@ TEST(Queries, PosteriorMarginalsRejectOutOfRangeEvidence)
                  "value 5 of variable 0 is out of range");
 }
 
+TEST(Queries, PosteriorMarginalsUniformForUnmentionedVariable)
+{
+    // Variable 2 has no leaf, so the circuit is constant in it and its
+    // unobserved posterior is uniform; every row is a distribution.
+    Circuit c(3, 2);
+    NodeId l0 = c.addLeaf(0, {0.3, 0.7});
+    NodeId l1 = c.addLeaf(1, {0.6, 0.4});
+    c.markRoot(c.addProduct({l0, l1}));
+
+    for (const Assignment &evidence :
+         {Assignment{kMissing, kMissing, kMissing},
+          Assignment{1, kMissing, kMissing}}) {
+        MarginalTable table = posteriorMarginals(c, evidence);
+        EXPECT_EQ(table.prob[2], (std::vector<double>{0.5, 0.5}));
+        for (const std::vector<double> &row : table.prob)
+            EXPECT_NEAR(row[0] + row[1], 1.0, 1e-15);
+    }
+}
+
 TEST(Queries, LogDerivativesSumToValueTimesCount)
 {
     // For a complete assignment, sum over leaves of d_l * leaf value

@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "pc/flat_cache.h"
 #include "random_circuit.h"
 #include "sys/engine.h"
 #include "sys/fault.h"
@@ -397,7 +396,7 @@ struct ServerFixture
                            const ServerOptions &options = {})
         : serveOptions(makeServeOptions()),
           engine(serveOptions),
-          server(engine, pc::cachedLowering(circuit), options)
+          server(engine, circuit.lowered(), options)
     {
         std::string error;
         if (!server.start(&error))

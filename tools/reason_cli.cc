@@ -119,7 +119,6 @@
 #include "logic/preprocess.h"
 #include "logic/solver.h"
 #include "pc/approx.h"
-#include "pc/flat_cache.h"
 #include "pc/from_logic.h"
 #include "pc/io.h"
 #include "pc/learn.h"
@@ -759,8 +758,7 @@ cmdQuery(const std::vector<std::string> &args)
     std::printf("tier: %s (budget %g)\n",
                 approx ? "approximate" : "exact", budget);
 
-    std::shared_ptr<const pc::FlatCircuit> flat =
-        pc::cachedLowering(circuit);
+    std::shared_ptr<const pc::FlatCircuit> flat = circuit.lowered();
     for (size_t q = 0; q < queries.size(); ++q) {
         const auto r = session.wait(session.submit(queries[q], budget));
         if (r->error != sys::REASON_OK)
@@ -830,8 +828,7 @@ runServeSocket(const pc::Circuit &circuit,
     options.maxBudget = maxBudget;
     options.idleTimeoutMs = idleTimeoutMs;
     options.drainDeadlineNs = drainDeadlineNs;
-    sys::SocketServer server(engine, pc::cachedLowering(circuit),
-                             options);
+    sys::SocketServer server(engine, circuit.lowered(), options);
     std::string error;
     if (!server.start(&error))
         fatal("cannot serve on 127.0.0.1:%u: %s", unsigned(port),
