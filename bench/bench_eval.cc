@@ -4,8 +4,9 @@
  * log-likelihood passes on a >=100k-node random circuit through the
  * reference AoS walker (Circuit::logLikelihood, one allocation per
  * call), the serial flat CSR engine (pc::CircuitEvaluator,
- * allocation-free batched), and the thread-parallel wavefront engine
- * (same evaluator over a multi-worker pool, bit-identical results),
+ * allocation-free batched), and its thread-parallel batch (the same
+ * evaluator splitting row blocks over a multi-worker pool, bit-identical
+ * results),
  * plus the async batch-serving engine (sys::ReasonEngine: cross-request coalescing
  * vs sequential single-request submission), and the SIMD kernel
  * micro-benches (kernel_logsumexp, hmm_leaf_batch: the util/simd.h
@@ -440,7 +441,11 @@ main(int argc, char **argv)
     size_t bitwise_failures = 0;
     size_t gate_failures = 0;
 
-    // --- threaded wavefront variant ------------------------------------
+    // --- threaded row-block batch ---------------------------------------
+    // logLikelihoodBatch over `reps` rows splits its blocks of kBlock
+    // rows across the pool, so at most ceil(reps / kBlock) workers have
+    // work: this measures row-block parallelism, not a per-row
+    // wavefront (evaluate() walks every row serially).
     if (threads > 1) {
         util::ThreadPool mt_pool(threads);
         pc::CircuitEvaluator mt_eval(flat, &mt_pool);
@@ -450,7 +455,7 @@ main(int argc, char **argv)
         mt_eval.logLikelihoodBatch(data, mt_ll);
         double mt_ms = msSince(t0);
 
-        // The wavefront engine must be *bit-identical* to serial flat.
+        // The threaded batch must be *bit-identical* to serial flat.
         size_t mismatches = 0;
         for (size_t i = 0; i < data.size(); ++i)
             if (mt_ll[i] != flat_ll[i])
@@ -464,10 +469,13 @@ main(int argc, char **argv)
                     circuit.numNodes(), circuit.numEdges(), reps,
                     threads, flat_ms, mt_ms, mt_speedup, mismatches,
                     provenance);
-        std::printf("threaded (%u workers): %.3f ms vs serial flat "
-                    "%.3f ms: %.2fx %s (target >=2x with >=4 threads), "
-                    "%zu bitwise mismatches\n",
-                    threads, mt_ms, flat_ms, mt_speedup,
+        const size_t blocks =
+            (data.size() + pc::CircuitEvaluator::kBlock - 1) /
+            pc::CircuitEvaluator::kBlock;
+        std::printf("threaded row blocks (%u workers, %zu blocks): "
+                    "%.3f ms vs serial flat %.3f ms: %.2fx %s (target "
+                    ">=2x with >=4 threads), %zu bitwise mismatches\n",
+                    threads, blocks, mt_ms, flat_ms, mt_speedup,
                     mt_speedup >= 2.0 ? "PASS" : "BELOW TARGET",
                     mismatches);
         bitwise_failures += mismatches;
@@ -475,7 +483,9 @@ main(int argc, char **argv)
         std::printf("threaded section skipped (1 worker)\n");
     }
 
-    // --- reverse-wavefront derivatives (marginal-query backward pass) --
+    // --- reverse-wavefront log-derivatives (pc::logDerivativesInto) ---
+    // The log-domain backward pass over the parent transpose; the
+    // marginal query runs the linear-domain nodeFlowsInto instead.
     if (threads > 1) {
         util::ThreadPool mt_pool(threads);
         const size_t deriv_reps = std::min<size_t>(reps, 200);
@@ -538,7 +548,6 @@ main(int argc, char **argv)
         pc::EmOptions em_opts;
         em_opts.maxIterations = 4;
         em_opts.tolerance = 0.0; // run every iteration
-        em_opts.shards = 0;
 
         // emTrain reaches the pool through the global knob.
         util::setGlobalThreads(1);
@@ -561,7 +570,7 @@ main(int argc, char **argv)
             bitHash(mt_trace.logLikelihood))
             ++mismatches;
         const unsigned em_shards =
-            util::resolveShardCount(em_opts.shards, em_samples);
+            util::resolveShardCount(0, em_samples);
         double em_speedup = em_serial_ms / em_mt_ms;
         std::printf("BENCH_JSON {\"bench\":\"bench_eval\",\"engine\":"
                     "\"em_fit\",\"nodes\":%zu,\"edges\":%zu,"
@@ -752,7 +761,7 @@ main(int argc, char **argv)
     {
         // serveThreads is pinned to 1 so the measured factor isolates
         // cross-request coalescing (SoA batch amortization) from
-        // wavefront threading; every row runs through the canonical
+        // row-block threading; every row runs through the canonical
         // SIMD block kernel, so outputs must match bitwise.
         sys::ServeOptions sopts;
         sopts.maxBatch = max_batch;

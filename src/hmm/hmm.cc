@@ -653,8 +653,7 @@ baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
 
     if (pool == nullptr)
         pool = &util::globalThreadPool();
-    const unsigned shards =
-        util::resolveShardCount(options.shards, data.size());
+    const unsigned shards = util::resolveShardCount(0, data.size());
 
     // Per-sequence likelihoods run thread-parallel; the reduction over
     // the materialized vector stays serial in dataset order, so the
@@ -677,7 +676,6 @@ baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
         // E-step: each shard left-folds its contiguous sequence slice
         // into private buffers (one writer per shard), then the shards
         // are merged by a fixed-shape tree reduction into stats[0].
-        // With shards == 1 this is exactly the legacy serial fold.
         util::shardSlices(
             *pool, data.size(), shards,
             [&](size_t s, size_t lo, size_t hi) {

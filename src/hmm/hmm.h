@@ -201,11 +201,7 @@ struct BaumWelchTrace
     uint32_t iterations = 0;
 };
 
-/**
- * Baum-Welch options.  The shard count defaults to the process-wide
- * util::ReductionPolicy (the --shards knob); explicit assignment
- * overrides it.
- */
+/** Baum-Welch options. */
 struct BaumWelchOptions
 {
     uint32_t maxIterations = 20;
@@ -213,14 +209,6 @@ struct BaumWelchOptions
     double tolerance = 1e-6;
     /** Pseudo-count added to every expected count. */
     double smoothing = 1e-3;
-    /**
-     * Sequence shards of the E-step statistic accumulation; 0 = auto
-     * (a fixed count) and 1 = the legacy serial left fold.  The shard
-     * count and fixed-shape tree reduction never depend on the worker
-     * count, so the trained model and trace are bit-identical for any
-     * thread count.
-     */
-    unsigned shards = util::reductionPolicy().shards;
 };
 
 /**
@@ -228,7 +216,10 @@ struct BaumWelchOptions
  * are sharded into contiguous slices accumulated by pool workers
  * (nullptr selects the global pool) into private statistic buffers,
  * merged by a deterministic tree reduction; per-iteration dataset
- * likelihoods reuse the thread-parallel sequenceLogLikelihoods.
+ * likelihoods reuse the thread-parallel sequenceLogLikelihoods.  The
+ * shard count is util::resolveShardCount's auto rule, a function of
+ * the sequence count alone, so the trained model and trace are
+ * bit-identical for any thread count.
  */
 BaumWelchTrace baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
                          const BaumWelchOptions &options,

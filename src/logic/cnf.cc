@@ -14,6 +14,8 @@ Lit
 Lit::fromDimacs(int64_t d)
 {
     reasonAssert(d != 0, "DIMACS literal must be nonzero");
+    reasonAssert(d >= -kMaxDimacsVar && d <= kMaxDimacsVar,
+                 "DIMACS literal beyond the largest variable");
     uint32_t var = static_cast<uint32_t>((d > 0 ? d : -d) - 1);
     return make(var, d < 0);
 }
@@ -146,11 +148,15 @@ CnfFormula::parseDimacs(const std::string &text)
         }
         if (token == "p") {
             std::string kind;
-            uint32_t nv = 0;
+            int64_t nv = 0;
             uint64_t nc = 0;
             if (!(is >> kind >> nv >> nc) || kind != "cnf")
                 fatal("malformed DIMACS header");
-            f.ensureVars(nv);
+            if (nv < 0 || nv > kMaxDimacsVar)
+                fatal("DIMACS header declares %lld variables; the range "
+                      "is 0..%lld",
+                      (long long)nv, (long long)kMaxDimacsVar);
+            f.ensureVars(uint32_t(nv));
             header_seen = true;
             continue;
         }
@@ -160,6 +166,9 @@ CnfFormula::parseDimacs(const std::string &text)
         } catch (...) {
             fatal("malformed DIMACS token '%s'", token.c_str());
         }
+        if (d < -kMaxDimacsVar || d > kMaxDimacsVar)
+            fatal("DIMACS literal '%s' names a variable beyond %lld",
+                  token.c_str(), (long long)kMaxDimacsVar);
         if (d == 0) {
             f.addClause(current);
             current.clear();

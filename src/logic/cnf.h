@@ -22,6 +22,12 @@ class Rng;
 
 namespace logic {
 
+/**
+ * Largest DIMACS variable number (1-based) a literal can hold: a Lit
+ * code keeps the 0-based variable in its upper 31 bits.
+ */
+inline constexpr int64_t kMaxDimacsVar = (int64_t(1) << 31) - 1;
+
 /** Packed literal: 2*var for positive, 2*var+1 for negated. */
 class Lit
 {
@@ -34,7 +40,10 @@ class Lit
         return Lit((var << 1) | (negated ? 1u : 0u));
     }
 
-    /** Build from a DIMACS-style signed integer (1-based, nonzero). */
+    /**
+     * Build from a DIMACS-style signed integer (1-based, nonzero, with
+     * |d| <= kMaxDimacsVar).
+     */
     static Lit fromDimacs(int64_t d);
 
     uint32_t var() const { return code_ >> 1; }
@@ -120,7 +129,10 @@ class CnfFormula
     /** Serialize to DIMACS CNF format. */
     std::string toDimacs() const;
 
-    /** Parse DIMACS CNF text; fatal() on malformed input. */
+    /**
+     * Parse DIMACS CNF text; fatal() on malformed input, including a
+     * literal or header variable count above kMaxDimacsVar.
+     */
     static CnfFormula parseDimacs(const std::string &text);
 
   private:

@@ -80,7 +80,7 @@ namespace {
  *  variables must fit the Lit packing (2*var+polarity in 32 bits). */
 constexpr uint64_t kMaxDeclaredNodes = 0xfffffffeull;
 constexpr uint64_t kMaxDeclaredEdges = 0xfffffffeull;
-constexpr uint64_t kMaxDeclaredVars = 0x7fffffffull;
+constexpr uint64_t kMaxDeclaredVars = uint64_t(kMaxDimacsVar);
 
 /** Upper bound on any reservation made from a *declared* count; real
  *  growth beyond this is paid only as actual tokens arrive, so a

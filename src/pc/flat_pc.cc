@@ -83,30 +83,27 @@ FlatCircuit::finalizeTopology()
     // Parent transpose in descending parent order: the downward
     // gathers fold each node's incoming contributions in this fixed
     // order, making flow/derivative sums deterministic by construction.
+    // The flattened parentNode/parentLogWeight streams are filled in the
+    // same descending-parent scan.
     const size_t m = edgeTarget.size();
-    edgeSource.resize(m);
     parentOffset.assign(n + 1, 0);
-    for (size_t i = 0; i < n; ++i)
-        for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e) {
-            edgeSource[e] = uint32_t(i);
-            ++parentOffset[edgeTarget[e] + 1];
-        }
+    for (uint32_t t : edgeTarget)
+        ++parentOffset[t + 1];
     for (size_t i = 1; i <= n; ++i)
         parentOffset[i] += parentOffset[i - 1];
     parentEdge.resize(m);
+    parentNode.resize(m);
+    parentLogWeight.resize(m);
     {
         std::vector<uint32_t> cursor(parentOffset.begin(),
                                      parentOffset.end() - 1);
         for (size_t i = n; i-- > 0;)
-            for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e)
-                parentEdge[cursor[edgeTarget[e]]++] = e;
-    }
-
-    parentNode.resize(m);
-    parentLogWeight.resize(m);
-    for (size_t k = 0; k < m; ++k) {
-        parentNode[k] = edgeSource[parentEdge[k]];
-        parentLogWeight[k] = edgeLogWeight[parentEdge[k]];
+            for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e) {
+                const uint32_t k = cursor[edgeTarget[e]]++;
+                parentEdge[k] = e;
+                parentNode[k] = uint32_t(i);
+                parentLogWeight[k] = edgeLogWeight[e];
+            }
     }
 
     maxFanIn = 0;
@@ -125,8 +122,7 @@ namespace {
  * kernel at lane count 1.  The expressions and accumulation order are
  * exactly one lane of the blocked SIMD kernel (evaluateBlock), so a
  * single-assignment walk, a full SoA block, and a masked tail block
- * all produce bit-identical values for the same row.  Shared by the
- * serial id-order walk and the parallel wavefront walk.
+ * all produce bit-identical values for the same row.
  */
 inline void
 evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
@@ -194,9 +190,8 @@ evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
 CircuitEvaluator::CircuitEvaluator(const FlatCircuit &flat,
                                    util::ThreadPool *pool)
     : flat_(flat), pool_(pool), logv_(flat.numNodes(), kLogZero),
-      maxFanIn_(flat.maxFanIn)
+      terms_(std::max<uint32_t>(flat.maxFanIn, 1), 0.0)
 {
-    terms_.resize(std::max<size_t>(maxFanIn_, 1), 0.0);
 }
 
 util::ThreadPool &
@@ -208,44 +203,17 @@ CircuitEvaluator::activePool() const
     return pool_ ? *pool_ : util::globalThreadPool();
 }
 
-void
-CircuitEvaluator::evaluateLevelSlice(const Assignment &x, size_t b,
-                                     size_t e, double *terms)
-{
-    double *val = logv_.data();
-    const uint32_t *sched = flat_.levelNodes.data();
-    for (size_t k = b; k < e; ++k)
-        evalCircuitNode(flat_, x, val, terms, sched[k]);
-}
-
 std::span<const double>
 CircuitEvaluator::evaluate(const Assignment &x)
 {
     reasonAssert(x.size() >= flat_.numVars, "assignment too short");
-    const size_t n = flat_.numNodes();
-    util::ThreadPool &pool = activePool();
-    if (pool.numThreads() == 1) {
-        double *val = logv_.data();
-        for (size_t i = 0; i < n; ++i)
-            evalCircuitNode(flat_, x, val, terms_.data(), i);
-        return {logv_.data(), logv_.size()};
-    }
-
-    // Wavefront execution over the level schedule: one writer per node
-    // value, per-worker term scratch, unchanged per-node expressions —
-    // bit-identical to the serial walk for any thread count.
-    const size_t stripe = std::max<size_t>(maxFanIn_, 1);
-    if (terms_.size() < stripe * pool.numThreads())
-        terms_.resize(stripe * pool.numThreads(), 0.0);
-    for (size_t l = 0; l < flat_.numLevels(); ++l) {
-        pool.parallelFor(
-            flat_.levelOffset[l], flat_.levelOffset[l + 1],
-            kMinNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                evaluateLevelSlice(x, b, e,
-                                   terms_.data() + worker * stripe);
-            });
-    }
+    // One id-order walk on every pool: children carry lower ids, so
+    // every operand is final when its parent is visited.  A per-level
+    // parallel walk of one row pays a pool barrier per level and
+    // measured slower than this walk (docs/ARCHITECTURE.md).
+    double *val = logv_.data();
+    for (size_t i = 0; i < flat_.numNodes(); ++i)
+        evalCircuitNode(flat_, x, val, terms_.data(), i);
     return {logv_.data(), logv_.size()};
 }
 
@@ -272,7 +240,7 @@ CircuitEvaluator::logLikelihoodBatch(const std::vector<Assignment> &xs,
     // batch shape (bit-identical to a single-row evaluate()).
     const size_t num_blocks = (xs.size() + kBlock - 1) / kBlock;
     const size_t val_size = flat_.numNodes() * kBlock;
-    const size_t term_size = std::max<size_t>(maxFanIn_, 1) * kBlock;
+    const size_t term_size = std::max<size_t>(flat_.maxFanIn, 1) * kBlock;
     const unsigned buffers =
         threads > 1 && num_blocks > 1
             ? unsigned(std::min<size_t>(threads, num_blocks))
@@ -694,8 +662,8 @@ accumulateDatasetFlows(const FlatCircuit &flat,
     DatasetFlows out;
     out.shards = shards;
     if (shards <= 1) {
-        // Legacy serial left fold over the dataset; per-sample
-        // wavefront parallelism (the pool) still applies inside add().
+        // Serial left fold over the dataset; the pool still splits
+        // each sample's downward pass inside add().
         FlowAccumulator acc(flat, pool);
         for (const auto &x : data)
             acc.add(x);
@@ -708,8 +676,8 @@ accumulateDatasetFlows(const FlatCircuit &flat,
 
     // One private accumulator per shard over a contiguous sample slice
     // whose boundaries depend only on (samples, shards).  Each shard's
-    // per-sample passes run serially — shard parallelism replaces
-    // wavefront parallelism here.  A 1-thread pool's parallelFor runs
+    // per-sample passes run serially — shard parallelism replaces the
+    // downward wavefront here.  A 1-thread pool's parallelFor runs
     // inline without touching shared state, so one serial pool is
     // safely shared by every concurrent accumulator.
     util::ThreadPool serial_pool(1);

@@ -33,11 +33,11 @@ namespace pc {
  * CSR lowering of a Circuit with log-space constants baked in.
  *
  * Besides the forward (child) CSR, the lowering computes two schedules
- * used by the thread-parallel evaluators:
+ * used by the downward (flow and derivative) passes:
  *
  *  - a **level (wavefront) schedule** over *all* nodes (leaves are
- *    level 0; an interior node sits one past its deepest child), so
- *    upward passes can evaluate each level as a data-parallel slice;
+ *    level 0; an interior node sits one past its deepest child), which
+ *    a multi-worker pool walks in reverse, one level at a time;
  *  - a **parent transpose** (CSC view) listing, per node, the forward
  *    edge ids arriving from its parents in *descending parent order*,
  *    plus flattened per-slot streams (parentNode, parentLogWeight), so
@@ -107,11 +107,9 @@ class FlatCircuit
     std::vector<uint32_t> parentOffset;
     /** Forward edge ids into each node, descending parent order. */
     std::vector<uint32_t> parentEdge;
-    /** Source (parent) node of each forward edge. */
-    std::vector<uint32_t> edgeSource;
     /** Flattened transpose streams, aligned with parentEdge, so the
      *  gather passes stream contiguously instead of double-indirecting:
-     *  parentNode[k] == edgeSource[parentEdge[k]],
+     *  parentNode[k] is the node owning edge parentEdge[k],
      *  parentLogWeight[k] == edgeLogWeight[parentEdge[k]]. */
     std::vector<uint32_t> parentNode;
     std::vector<double> parentLogWeight;
@@ -127,8 +125,7 @@ class FlatCircuit
 
 /**
  * Smallest wavefront (level slice) worth splitting across pool
- * workers; shared by every parallel pass over a FlatCircuit so the
- * grain is tuned in one place.
+ * workers; the grain of the downward passes' reverse level walk.
  */
 inline constexpr size_t kMinWavefrontNodesPerChunk = 2048;
 
@@ -148,11 +145,12 @@ inline constexpr size_t kMinWavefrontNodesPerChunk = 2048;
  * composition, tail position, thread count, or SIMD backend — the
  * guarantee the serving engine's coalescing relies on.
  *
- * **Threading.**  With a multi-worker pool (explicit or the global
- * pool), evaluate() runs each wavefront of the level schedule in
- * parallel (per-worker term scratch, one writer per node value) and
- * logLikelihoodBatch() splits the row-block dimension across workers
- * (one private SoA block buffer per worker).
+ * **Threading.**  evaluate() walks nodes in id order on the calling
+ * thread for every pool: a level-parallel walk of one row pays a pool
+ * barrier per level and does not beat the serial walk.  The pool
+ * (explicit or the global one) serves logLikelihoodBatch() only, which
+ * splits the row-block dimension across workers (one private SoA block
+ * buffer per worker).
  *
  * **Thread-safety contract.**  One CircuitEvaluator serves one caller
  * at a time; for concurrent queries create one evaluator per thread
@@ -202,9 +200,6 @@ class CircuitEvaluator
     const std::vector<double> &values() const { return logv_; }
 
   private:
-    static constexpr size_t kMinNodesPerChunk =
-        kMinWavefrontNodesPerChunk;
-
     /** The explicit pool, or the (possibly reconfigured) global one. */
     util::ThreadPool &activePool() const;
     /**
@@ -214,18 +209,13 @@ class CircuitEvaluator
     void evaluateBlock(const Assignment *const *rows, size_t n,
                        double *out, double *block_val,
                        double *block_terms);
-    /** Evaluate nodes [b, e) of the level schedule for assignment x. */
-    void evaluateLevelSlice(const Assignment &x, size_t b, size_t e,
-                            double *terms);
 
     const FlatCircuit &flat_;
     /** Explicit pool, or nullptr = resolve the global pool per call. */
     util::ThreadPool *pool_;
     std::vector<double> logv_;
-    /** Per-sum-node term scratch (max fan-in), avoids a second gather;
-     *  sized maxFanIn * numThreads, one stripe per worker. */
+    /** Per-sum-node term scratch (max fan-in), avoids a second gather. */
     std::vector<double> terms_;
-    size_t maxFanIn_ = 0;
     /** Per-worker SoA scratch of the batched path (lazy). */
     std::vector<std::vector<double>> blockVal_;
     std::vector<std::vector<double>> blockTerms_;
@@ -281,6 +271,8 @@ struct FlowShardOptions;
  * Streaming top-down circuit-flow accumulator (Sec. IV-B): one upward
  * and one downward pass per sample over reused scratch.  Replaces the
  * per-sample EdgeFlows allocation pattern of accumulateFlows/emTrain.
+ * The upward pass is CircuitEvaluator::evaluate's serial walk; the pool
+ * splits only the downward pass.
  *
  * The downward pass is a transpose *gather* with one shared per-node
  * kernel (also behind nodeFlowsInto): each node's incoming flow
@@ -349,16 +341,14 @@ class FlowAccumulator
     size_t count_ = 0;
 };
 
-/**
- * Sample-level sharding options for accumulateDatasetFlows.  The
- * default inherits the process-wide util::ReductionPolicy (the --shards
- * knob); explicit assignment overrides it.  See ReductionPolicy for the
- * shard-resolution rules.
- */
+/** Sample-level sharding options for accumulateDatasetFlows. */
 struct FlowShardOptions
 {
-    /** 0 = auto (a fixed count, independent of the pool size). */
-    unsigned shards = util::reductionPolicy().shards;
+    /**
+     * 0 = auto (util::resolveShardCount: a function of the dataset size
+     * alone, never of the pool size); 1 = one serial left fold.
+     */
+    unsigned shards = 0;
 };
 
 /** Dataset-level flow totals, same layouts as FlowAccumulator. */
@@ -380,13 +370,13 @@ struct DatasetFlows
  * range is split into `shards` contiguous, deterministically-placed
  * slices, each accumulated left-to-right by one worker into a private
  * FlowAccumulator (its per-sample passes run serially — shard
- * parallelism replaces wavefront parallelism here), then merged by a
+ * parallelism replaces the downward wavefront here), then merged by a
  * fixed-shape pairwise tree reduction (util::treeReduce) whose shape
  * depends only on the shard count.
  *
  * Determinism: the shard count never depends on the worker count, so
  * totals are bit-identical for any thread count; shards == 1 reproduces
- * the legacy serial left fold exactly.
+ * a single FlowAccumulator's left fold exactly.
  */
 DatasetFlows accumulateDatasetFlows(const FlatCircuit &flat,
                                     const std::vector<Assignment> &data,

@@ -26,7 +26,7 @@ meanLogLikelihood(const Circuit &circuit,
 
 EmTrace
 emTrain(Circuit &circuit, const std::vector<Assignment> &data,
-        const EmConfig &config)
+        const EmOptions &config)
 {
     EmTrace trace;
     trace.logLikelihood.push_back(meanLogLikelihood(circuit, data));
@@ -41,7 +41,7 @@ emTrain(Circuit &circuit, const std::vector<Assignment> &data,
         // lowering; `flat` keeps this iteration's lowering alive.
         std::shared_ptr<const FlatCircuit> flat = circuit.lowered();
         DatasetFlows acc =
-            accumulateDatasetFlows(*flat, data, {config.shards});
+            accumulateDatasetFlows(*flat, data);
 
         // M-step: re-normalize sum weights and leaf distributions.
         const std::vector<double> &edge_flow = acc.edgeFlow;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "pc/pc.h"
-#include "util/parallel.h"
 
 namespace reason {
 namespace pc {
@@ -29,11 +28,7 @@ struct EmTrace
     uint32_t iterations = 0;
 };
 
-/**
- * EM options.  The shard count defaults to the process-wide
- * util::ReductionPolicy (the --shards knob); explicit assignment
- * overrides it.
- */
+/** EM options. */
 struct EmOptions
 {
     uint32_t maxIterations = 20;
@@ -41,29 +36,21 @@ struct EmOptions
     double tolerance = 1e-6;
     /** Laplace smoothing pseudo-count added to every expected count. */
     double smoothing = 0.1;
-    /**
-     * Sample shards of the E-step flow accumulation; 0 = auto (a fixed
-     * count) and 1 = the legacy serial left fold.  The shard count and
-     * fixed-shape tree reduction never depend on the worker count, so
-     * trained parameters and the trace are bit-identical for any thread
-     * count.  See util::ReductionPolicy.
-     */
-    unsigned shards = util::reductionPolicy().shards;
 };
-
-/** Historical name of EmOptions. */
-using EmConfig = EmOptions;
 
 /** Mean log-likelihood of a dataset under the circuit. */
 double meanLogLikelihood(const Circuit &circuit,
                          const std::vector<Assignment> &data);
 
 /**
- * Run flow-based EM in place.
+ * Run flow-based EM in place.  The E-step is accumulateDatasetFlows
+ * with its auto shard count (util::resolveShardCount), a function of
+ * the dataset size alone, so trained parameters and the trace depend
+ * only on the model and data, never on the thread count.
  * @return the per-iteration trace (first entry is the initial LL).
  */
 EmTrace emTrain(Circuit &circuit, const std::vector<Assignment> &data,
-                const EmConfig &config = {});
+                const EmOptions &config = {});
 
 } // namespace pc
 } // namespace reason

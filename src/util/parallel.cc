@@ -134,9 +134,6 @@ std::unique_ptr<ThreadPool> g_pool;      // lazily created
 unsigned g_threads = 0;                  // 0 = hardware concurrency
 std::mutex g_pool_mutex;
 
-ReductionPolicy g_reduction_policy;
-std::mutex g_reduction_mutex;
-
 } // namespace
 
 ThreadPool &
@@ -177,28 +174,14 @@ parseCount(const std::string &text, uint64_t min_value,
     return true;
 }
 
-ReductionPolicy
-reductionPolicy()
-{
-    std::lock_guard<std::mutex> lock(g_reduction_mutex);
-    return g_reduction_policy;
-}
-
-void
-setReductionPolicy(const ReductionPolicy &policy)
-{
-    std::lock_guard<std::mutex> lock(g_reduction_mutex);
-    g_reduction_policy = policy;
-}
-
 unsigned
 resolveShardCount(unsigned shards, size_t samples)
 {
     if (shards == 0) {
-        // Sharding *replaces* per-sample wavefront parallelism, so a
+        // Sharding *replaces* the per-sample downward wavefront, so a
         // dataset smaller than the target shard count keeps one shard
-        // (and the wavefront engine) instead of degenerating into a
-        // few serial-pool slices.
+        // (and the wavefront) instead of degenerating into a few
+        // serial-pool slices.
         shards = samples >= kAutoReductionShards ? kAutoReductionShards
                                                  : 1;
     }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal reusable thread pool with a deterministic parallel-for, the
- * software backbone of wavefront (level-parallel) execution in the flat
- * kernel engines (core/flat.h, pc/flat_pc.h).
+ * Minimal reusable thread pool with a deterministic parallel-for: the
+ * software backbone of the flat circuit engine's batched rows and
+ * downward wavefronts (pc/flat_pc.h), sharded learning reductions and
+ * the HMM sequence batches (hmm/hmm.h).
  *
  * Design contract, relied on by every flat evaluator:
  *
@@ -164,40 +165,16 @@ bool parseCount(const std::string &text, uint64_t min_value,
  */
 bool pinCurrentThreadToCore(unsigned core);
 
-/**
- * Process-wide policy for sample-sharded learning reductions (EM flow
- * accumulation, Baum-Welch statistics).  Learning entry points read
- * this policy into their per-call options at construction, so it acts
- * as a default, not an override: explicitly set option fields win.
- *
- *  - `shards == 0` (auto) shards into a *fixed* count
- *    (kAutoReductionShards) that does not depend on the worker count,
- *    so results are bit-identical for any thread count.  Datasets
- *    smaller than the target resolve to a single shard, keeping
- *    per-sample wavefront parallelism instead of degenerate tiny
- *    shards.
- *  - `shards == 1` reproduces the legacy serial accumulation exactly
- *    (single left-fold over the dataset, no reduction tree).
- *
- * Like setGlobalThreads, configure at startup or between phases.
- */
-struct ReductionPolicy
-{
-    unsigned shards = 0;
-};
-
-ReductionPolicy reductionPolicy();
-void setReductionPolicy(const ReductionPolicy &policy);
-
 /** Fixed shard count of auto-sharding. */
 inline constexpr unsigned kAutoReductionShards = 8;
 
 /**
- * Resolve an options-level shard count against a dataset size: 0 = auto
- * per ReductionPolicy rules (one shard when the dataset is smaller than
- * the target count), and the result is clamped to [1, samples].  The
- * worker count never enters, which is what makes the merged totals
- * independent of the thread count.
+ * Resolve a shard count against a dataset size for the sample-sharded
+ * learning reductions (EM flow accumulation, Baum-Welch statistics).
+ * `shards == 0` (auto) gives kAutoReductionShards, or one shard when
+ * the dataset is smaller than that; the result is clamped to
+ * [1, samples].  The worker count never enters, so merged totals are
+ * bit-identical for any thread count.
  */
 unsigned resolveShardCount(unsigned shards, size_t samples);
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for thread-parallel wavefront execution: every parallel path
- * (pc::CircuitEvaluator single/batch, pc::FlowAccumulator
- * upward+downward, the one-sample nodeFlowsInto,
- * posteriorMarginals on the global pool, the reverse-wavefront
- * logDerivativesInto, sharded dataset flows, sharded EM, and sharded
- * Baum-Welch) must be *bit-identical* to
- * the serial flat path across thread counts {1, 2, 4, 8}.
+ * Tests for thread-parallel execution: every path that takes a pool
+ * (pc::CircuitEvaluator single/batch, the pc::FlowAccumulator downward
+ * wavefront, the one-sample nodeFlowsInto, posteriorMarginals on the
+ * global pool, the reverse-wavefront logDerivativesInto, sharded
+ * dataset flows, sharded EM, and sharded Baum-Welch) must be
+ * *bit-identical* to the serial flat path across thread counts
+ * {1, 2, 4, 8}.
  */
 
 #include <gtest/gtest.h>
@@ -48,10 +48,10 @@ bitIdentical(std::span<const double> got, std::span<const double> want)
 }
 
 /**
- * Largest wavefront of a lowering.  The bit-identity sweeps assert it
- * exceeds the split grain, so the multi-worker paths (and their TSan
- * coverage) cannot silently degrade into inline execution if the test
- * circuits shrink or the grain grows.
+ * Largest wavefront of a lowering.  The downward-pass bit-identity
+ * sweeps assert it exceeds the split grain, so the multi-worker paths
+ * (and their TSan coverage) cannot silently degrade into inline
+ * execution if the test circuits shrink or the grain grows.
  */
 uint32_t
 maxLevelWidth(const pc::FlatCircuit &flat)
@@ -121,8 +121,6 @@ TEST(ParallelCircuitEvaluator, ValuesBitIdenticalAcrossThreadCounts)
     Rng rng(23);
     pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
     pc::FlatCircuit flat(c);
-    ASSERT_GE(maxLevelWidth(flat), 2 * pc::kMinWavefrontNodesPerChunk)
-        << "circuit too small: level slices would never split";
     auto xs = randomAssignments(rng, c, 6, 0.25);
 
     util::ThreadPool serial(1);
@@ -404,7 +402,7 @@ TEST(ShardedFlows, DeterministicAcrossThreadCounts)
     }
 
     // Datasets smaller than the auto target keep a single shard (and
-    // with it the per-sample wavefront engine): auto resolution is a
+    // with it the per-sample downward wavefront): auto resolution is a
     // function of the data alone, never of the workers.
     std::vector<pc::Assignment> tiny(data.begin(), data.begin() + 4);
     for (unsigned threads : kThreadCounts) {
@@ -459,7 +457,6 @@ TEST(ShardedEm, DeterministicAcrossThreadCounts)
     pc::EmOptions opts;
     opts.maxIterations = 3;
     opts.tolerance = 0.0; // run every iteration
-    opts.shards = 0;
 
     // emTrain reaches the pool through the global knob; sweep it and
     // demand bit-identical parameters and traces.
@@ -495,7 +492,6 @@ TEST(ShardedBaumWelch, DeterministicAcrossThreadCounts)
     hmm::BaumWelchOptions opts;
     opts.maxIterations = 3;
     opts.tolerance = 0.0;
-    opts.shards = 0;
 
     std::vector<double> want_params;
     std::vector<double> want_trace;
@@ -550,7 +546,11 @@ TEST(FlatCircuitSchedule, LevelsAndTransposeAreConsistent)
             const uint32_t e = flat.parentEdge[pe];
             ++edge_seen[e];
             EXPECT_EQ(flat.edgeTarget[e], c_id);
-            const uint32_t parent = flat.edgeSource[e];
+            const uint32_t parent = flat.parentNode[pe];
+            ASSERT_LT(parent, flat.numNodes());
+            EXPECT_LE(flat.edgeOffset[parent], e);
+            EXPECT_LT(e, flat.edgeOffset[parent + 1]);
+            EXPECT_EQ(flat.parentLogWeight[pe], flat.edgeLogWeight[e]);
             EXPECT_LE(parent, prev_parent);
             prev_parent = parent;
         }

@@ -335,22 +335,79 @@ TEST(CnfToFlat, EmptyClauseLowersToMinusInfinity)
     EXPECT_EQ(log_wmc, -std::numeric_limits<double>::infinity());
 }
 
-TEST(ReasonCli, CountOfEmptyClauseFormulaIsZero)
+namespace {
+
+/** Run `reason_cli count` on `dimacs` written to a temp file `name`;
+ *  returns stdout and stderr, and sets *exit_code. */
+std::string
+runCliCount(const std::string &name, const std::string &dimacs,
+            int *exit_code)
 {
-    const std::string path = ::testing::TempDir() + "empty_clause.cnf";
+    const std::string path = ::testing::TempDir() + name;
     {
         std::ofstream out(path, std::ios::binary);
-        out << kEmptyClauseDimacs;
+        out << dimacs;
     }
-    int exit_code = 0;
     const std::string text = testutil::runCommand(
         "'" + std::string(REASON_CLI_PATH) + "' count '" + path + "' 2>&1",
-        &exit_code);
+        exit_code);
     std::remove(path.c_str());
+    return text;
+}
+
+} // namespace
+
+TEST(ReasonCli, CountOfEmptyClauseFormulaIsZero)
+{
+    int exit_code = 0;
+    const std::string text =
+        runCliCount("empty_clause.cnf", kEmptyClauseDimacs, &exit_code);
     EXPECT_EQ(exit_code, 0) << text;
     EXPECT_NE(text.find("models: 0 of 2^2"), std::string::npos) << text;
     EXPECT_NE(text.find("0 unit propagations"), std::string::npos) << text;
     EXPECT_NE(text.find("0 cache entries"), std::string::npos) << text;
+}
+
+// ---------------------------------------------------------------------------
+// DIMACS variable range
+// ---------------------------------------------------------------------------
+
+TEST(Dimacs, LargestVariableRoundTrips)
+{
+    const CnfFormula f =
+        CnfFormula::parseDimacs("p cnf 1 1\n2147483647 -2147483647 0\n");
+    EXPECT_EQ(f.numVars(), uint32_t(kMaxDimacsVar));
+    ASSERT_EQ(f.numClauses(), 1u);
+    EXPECT_EQ(f.clause(0)[0].toDimacs(), kMaxDimacsVar);
+    EXPECT_EQ(f.clause(0)[1].toDimacs(), -kMaxDimacsVar);
+}
+
+TEST(ReasonCli, CountRejectsOutOfRangeDimacsVariables)
+{
+    // Each would alias a small variable (or negate INT64_MIN) if the
+    // literal were truncated to a 31-bit variable index.
+    const struct
+    {
+        const char *name;
+        const char *dimacs;
+    } cases[] = {
+        {"alias_positive.cnf", "p cnf 1 1\n4294967297 0\n"},
+        {"alias_tautology.cnf", "p cnf 2 1\n-4294967298 2 0\n"},
+        {"first_past_max.cnf", "p cnf 1 1\n2147483648 0\n"},
+        {"int64_min.cnf", "p cnf 1 1\n-9223372036854775808 0\n"},
+        {"header_past_max.cnf", "p cnf 2147483648 1\n1 0\n"},
+        {"header_negative.cnf", "p cnf -1 1\n1 0\n"},
+    };
+    for (const auto &c : cases) {
+        int exit_code = 0;
+        const std::string text = runCliCount(c.name, c.dimacs, &exit_code);
+        // Nonzero through fatal(), never a clean exit and never an
+        // abort (134 from a shell, negative for a signal).
+        EXPECT_GT(exit_code, 0) << c.name << "\n" << text;
+        EXPECT_NE(exit_code, 134) << c.name << "\n" << text;
+        EXPECT_EQ(text.find("models:"), std::string::npos)
+            << c.name << "\n" << text;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ TEST(Em, TrainingImprovesLikelihood)
     auto data = sampleDataset(rng, truth, 400);
     Circuit model = randomCircuit(rng, 6, 2);
     double before = meanLogLikelihood(model, data);
-    EmConfig cfg;
+    EmOptions cfg;
     cfg.maxIterations = 15;
     EmTrace trace = emTrain(model, data, cfg);
     double after = meanLogLikelihood(model, data);

@@ -31,9 +31,10 @@
  *   fit <file.rpc> [--samples N] [--iters N] [--seed N] [--out f.rpc]
  *       Run sharded flow EM on a stored circuit against data sampled
  *       from it (a self-fit: the log-likelihood trace must be
- *       non-decreasing).  Exercises the --threads / --shards knobs
- *       end to end and reports the resolved shard count and
- *       per-iteration likelihoods.
+ *       non-decreasing) and report the shard count and per-iteration
+ *       likelihoods.  The shard count follows from the sample count
+ *       alone, so the trace depends only on the model and data, never
+ *       on --threads.
  *
  *   query <file.rpc> [--budget X] [--rows N] [--seed N]
  *         [--missing-pct N] [--is-samples N]
@@ -149,16 +150,12 @@ namespace wire = reason::sys::wire;
 
 namespace {
 
-/** Upper bound of the global --shards count. */
-constexpr unsigned long long kMaxShards = 1ull << 30;
-
 int
 usage()
 {
     std::fprintf(
         stderr,
-        "usage: reason_cli [--threads 0..%u] [--shards 0..%llu] "
-        "<command> [args]\n"
+        "usage: reason_cli [--threads 0..%u] <command> [args]\n"
         "  solve <file.cnf> [--budget N] [--no-preprocess]\n"
         "  count <file.cnf> [--nnf out.nnf]\n"
         "  marginals <file.cnf> [--pc out.rpc]\n"
@@ -180,11 +177,8 @@ usage()
         "  <command> --help describes the command's options.\n"
         "--threads N sets the worker count of the flat evaluation\n"
         "engine (0 = hardware concurrency); results are identical for\n"
-        "any thread count.\n"
-        "--shards N sets the sample-shard count of learning reductions\n"
-        "(EM flows, Baum-Welch; 0 = auto); results are identical for\n"
         "any thread count.\n",
-        util::kMaxThreads, kMaxShards);
+        util::kMaxThreads);
     return 2;
 }
 
@@ -675,9 +669,9 @@ cmdFit(const std::vector<std::string> &args)
     Rng rng(seed);
     std::vector<pc::Assignment> data =
         pc::sampleDataset(rng, circuit, size_t(samples));
-    pc::EmOptions opts; // inherits --shards
+    pc::EmOptions opts;
     opts.maxIterations = uint32_t(iters);
-    const unsigned shards = util::resolveShardCount(opts.shards, data.size());
+    const unsigned shards = util::resolveShardCount(0, data.size());
     std::printf("fit: %zu samples, <=%u iterations, %u worker(s), "
                 "%u shard(s)\n",
                 data.size(), opts.maxIterations, util::globalThreads(),
@@ -1326,7 +1320,6 @@ main(int argc, char **argv)
     std::vector<std::string> all(argv + 1, argv + argc);
     // Global flags precede the subcommand.
     size_t at = 0;
-    util::ReductionPolicy reductions = util::reductionPolicy();
     while (at < all.size() && all[at].rfind("--", 0) == 0) {
         uint64_t count = 0;
         if (all[at] == "--version") {
@@ -1337,18 +1330,10 @@ main(int argc, char **argv)
                 return usage();
             util::setGlobalThreads(unsigned(count));
             at += 2;
-        } else if (all[at] == "--shards" && at + 1 < all.size()) {
-            // Shard counts are clamped to the dataset size downstream,
-            // so unlike --threads they are not bounded by kMaxThreads.
-            if (!util::parseCount(all[at + 1], 0, kMaxShards, &count))
-                return usage();
-            reductions.shards = unsigned(count);
-            at += 2;
         } else {
             return usage();
         }
     }
-    util::setReductionPolicy(reductions);
     if (at >= all.size())
         return usage();
     std::string cmd = all[at];
